@@ -10,22 +10,28 @@ The header carries everything inference needs: the model config, the
 vocabulary, the thesaurus entries and segmentation lexicon counts, and
 tensor names/shapes. A checkpoint is therefore a standalone artifact: the
 predict path needs no access to the original resource files.
+
+Format version 2 stores each LSTM direction as three gate-stacked tensors
+(version 1 files, with one tensor per gate, are rejected). Loading checks
+the header's config keys against `ModelConfig`, and its tensor names and
+shapes against `parameter_shapes` for that config and vocabulary size.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .model import ModelConfig
+from .model import ModelConfig, parameter_shapes
 from .nd import Tensor
 from .preprocess import SegmentationLexicon
 from .resources import Thesaurus, Vocabulary
 
 MAGIC = b"EMOSENT-CHECKPOINT-1\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+CONFIG_KEYS = frozenset(f.name for f in fields(ModelConfig))
 
 
 class CheckpointError(ValueError):
@@ -86,21 +92,39 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: unsupported format version {header.get('format_version')!r}"
         )
-    config = ModelConfig(**header["config"])
+    stored_config = header.get("config", {})
+    unknown = sorted(stored_config.keys() - CONFIG_KEYS)
+    missing = sorted(CONFIG_KEYS - stored_config.keys())
+    if unknown or missing:
+        raise CheckpointError(f"{path}: config keys unknown {unknown}, missing {missing}")
+    try:
+        config = ModelConfig(**stored_config)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad config: {exc}") from None
+    words = list(header.get("vocab", []))
+    expected = parameter_shapes(config, len(words))
+    shapes = {entry["name"]: tuple(entry["shape"]) for entry in header.get("tensors", [])}
+    if shapes != expected:
+        wrong = {
+            n: f"{s} not {expected[n]}"
+            for n, s in shapes.items()
+            if n in expected and s != expected[n]
+        }
+        raise CheckpointError(
+            f"{path}: tensors do not fit the config and a {len(words)}-word vocabulary: "
+            f"missing {sorted(expected.keys() - shapes.keys())}, "
+            f"unexpected {sorted(shapes.keys() - expected.keys())}, wrong shapes {wrong}"
+        )
     params: dict[str, Tensor] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+    for name, shape in shapes.items():
+        end = offset + 8 * int(np.prod(shape))
         if end > len(raw):
-            raise CheckpointError(f"{path}: truncated payload at tensor {entry['name']!r}")
+            raise CheckpointError(f"{path}: truncated payload at tensor {name!r}")
         data = np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
-        requires_grad = entry["name"] != "embedding" or config.train_embeddings
-        params[entry["name"]] = Tensor(data, requires_grad=requires_grad)
+        params[name] = Tensor(data, requires_grad=name != "embedding" or config.train_embeddings)
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    words = list(header["vocab"])
     vocab = Vocabulary(words, {w: i for i, w in enumerate(words)})
     return Checkpoint(
         config=config,

@@ -90,7 +90,6 @@ class RunConfig:
                 seed=self.seed,
                 sentiment_loss_weight=self.sentiment_loss_weight,
                 emotion_loss_weight=self.emotion_loss_weight,
-                emotion_threshold=self.threshold,
                 patience=self.patience,
             )
         except ValueError as exc:
@@ -143,6 +142,8 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
         seen.add(key)
         setattr(cfg, _attr(key), _parse_value(key, raw.strip(), f"{path}: line {lineno}"))
+    if not 0.0 < cfg.threshold < 1.0:
+        raise ConfigError(f"{path}: threshold must be in (0, 1), got {cfg.threshold}")
     return cfg
 
 

@@ -7,6 +7,10 @@ one affine sigmoid head. Modes S*/E* run one task, M* run both off the
 same encoder states. The pooled width is embed_dim + 2*lstm_hidden with
 word attention on, 2*lstm_hidden with it off.
 
+Each LSTM direction holds three tensors, lstm_{fw,bw}/W [embed_dim, 4H],
+U [H, 4H] and b [4H] with H = lstm_hidden, whose gates (i, f, g, o) are
+consecutive H-column blocks; `nd.lstm` runs a whole direction as one op.
+
 Sentiment is decided by argmax over the two sigmoid outputs with index
 order (negative, positive); emotions are thresholded per label at 0.5,
 the boundary counting as positive.
@@ -75,10 +79,9 @@ def parameter_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[in
     e, h = config.embed_dim, config.lstm_hidden
     shapes: dict[str, tuple[int, ...]] = {"embedding": (vocab_size, e)}
     for direction in ("fw", "bw"):
-        for gate in ("i", "f", "g", "o"):
-            shapes[f"lstm_{direction}/W_{gate}"] = (e, h)
-            shapes[f"lstm_{direction}/U_{gate}"] = (h, h)
-            shapes[f"lstm_{direction}/b_{gate}"] = (h,)
+        shapes[f"lstm_{direction}/W"] = (e, 4 * h)
+        shapes[f"lstm_{direction}/U"] = (h, 4 * h)
+        shapes[f"lstm_{direction}/b"] = (4 * h,)
     for task in config.tasks:
         if config.primary_attention_enabled:
             shapes[f"{task}/W_w"] = (config.encoder_dim, e)
@@ -110,16 +113,22 @@ def init_parameters(
         raise ValueError("need vocab_size or embedding_rows")
     params: dict[str, nd.Tensor] = {}
     for name, shape in parameter_shapes(config, vocab_size).items():
-        if name == "embedding":
-            if embedding_rows is not None:
-                data = np.array(embedding_rows, dtype=np.float64)
-            else:
-                data = truncated_normal(stage_rng(seed, f"init/{name}"), shape, INIT_STD)
-            params[name] = nd.Tensor(data, requires_grad=config.train_embeddings)
+        if name == "embedding" and embedding_rows is not None:
+            data = np.array(embedding_rows, dtype=np.float64)
+        elif name.startswith("lstm_"):
+            # Each gate block is drawn from its own stream, `init/lstm_fw/W_i`
+            # and so on, so a seed gives the same network as per-gate tensors.
+            block = shape[:-1] + (shape[-1] // 4,)
+            data = np.concatenate([_draw(seed, f"{name}_{g}", block) for g in "ifgo"], axis=-1)
         else:
-            data = truncated_normal(stage_rng(seed, f"init/{name}"), shape, INIT_STD)
-            params[name] = nd.Tensor(data, requires_grad=True)
+            data = _draw(seed, name, shape)
+        trainable = name != "embedding" or config.train_embeddings
+        params[name] = nd.Tensor(data, requires_grad=trainable)
     return params
+
+
+def _draw(seed: int, name: str, shape) -> np.ndarray:
+    return truncated_normal(stage_rng(seed, f"init/{name}"), shape, INIT_STD)
 
 
 def trainable_names(params: Mapping[str, nd.Tensor]) -> list[str]:
@@ -141,29 +150,6 @@ class ForwardTrace:
     predictions: dict[str, object] = field(default_factory=dict)
 
 
-def _lstm_direction(
-    embeds: Sequence[nd.Tensor], params: Mapping[str, nd.Tensor], prefix: str, hidden: int
-) -> list[nd.Tensor]:
-    h = nd.zeros(hidden)
-    c = nd.zeros(hidden)
-    states = []
-    for x in embeds:
-        gates = {}
-        for gate in ("i", "f", "g", "o"):
-            pre = nd.add(
-                nd.add(
-                    nd.matmul(x, params[f"{prefix}/W_{gate}"]),
-                    nd.matmul(h, params[f"{prefix}/U_{gate}"]),
-                ),
-                params[f"{prefix}/b_{gate}"],
-            )
-            gates[gate] = nd.tanh(pre) if gate == "g" else nd.sigmoid(pre)
-        c = nd.add(nd.mul(gates["f"], c), nd.mul(gates["i"], gates["g"]))
-        h = nd.mul(gates["o"], nd.tanh(c))
-        states.append(h)
-    return states
-
-
 def bilstm_forward(
     embeds: Sequence[nd.Tensor],
     params: Mapping[str, nd.Tensor],
@@ -176,10 +162,23 @@ def bilstm_forward(
     embeds = list(embeds)
     if not embeds:
         raise ValueError("bilstm_forward needs a non-empty sequence")
-    fw = _lstm_direction(embeds, params, "lstm_fw", config.lstm_hidden)
-    bw = _lstm_direction(embeds[::-1], params, "lstm_bw", config.lstm_hidden)
-    bw.reverse()
-    states = [nd.concat([f, b]) for f, b in zip(fw, bw)]
+    steps, hidden = len(embeds), config.lstm_hidden
+    xs = nd.stack(embeds)
+    fw = nd.lstm(xs, params["lstm_fw/W"], params["lstm_fw/U"], params["lstm_fw/b"])
+    bw = nd.lstm(
+        nd.take_rows(xs, range(steps - 1, -1, -1)),
+        params["lstm_bw/W"],
+        params["lstm_bw/U"],
+        params["lstm_bw/b"],
+    )
+    # Stacked, rows t and 2T-1-t hold position t's forward and backward states.
+    both = nd.reshape(
+        nd.concat([nd.reshape(fw, (-1,)), nd.reshape(bw, (-1,))]), (2 * steps, hidden)
+    )
+    states = [
+        nd.reshape(nd.take_rows(both, [t, 2 * steps - 1 - t]), (2 * hidden,))
+        for t in range(steps)
+    ]
     if train_mode and config.dropout_rate > 0.0:
         if dropout_rng is None:
             raise ValueError("train-mode forward needs dropout_rng when dropout_rate > 0")

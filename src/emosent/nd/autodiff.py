@@ -1,8 +1,9 @@
 """Dense float64 tensors and a record/replay tape for reverse-mode gradients.
 
 Everything here is deliberately small: 1-D and 2-D arrays, the handful of
-primitives the sequence model needs, and a tape that records ops in execution
-order (which is already a topological order) and replays them backwards.
+primitives the sequence model needs (one of them a fused LSTM direction),
+and a tape that records ops in execution order (which is already a
+topological order) and replays them backwards.
 """
 from __future__ import annotations
 
@@ -49,27 +50,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def sum(self) -> "Tensor":
-        return sum(self)
-
-    def mean(self) -> "Tensor":
-        return mean(self)
 
 
 def zeros(shape) -> Tensor:
@@ -149,11 +129,6 @@ class Tape:
         return out
 
 
-def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
-    """Replay `tape` backwards from a scalar `loss`. See Tape.gradients."""
-    return tape.gradients(loss, wrt)
-
-
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _tape_stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -174,25 +149,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return g, g
 
     return _record(out, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        return g, -g
-
-    return _record(out, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-
-    def bwd(g):
-        return (-g,)
-
-    return _record(out, (a,), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -238,18 +194,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a vector to every row of a matrix."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"add_rowvec: incompatible shapes {m.shape} and {v.shape}")
-    out = Tensor(m.data + v.data)
-
-    def bwd(g):
-        return g, g.sum(axis=0)
-
-    return _record(out, (m, v), bwd)
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = Tensor(y)
@@ -274,24 +218,12 @@ def sigmoid_values(x) -> np.ndarray:
     return out
 
 
-_sigmoid = sigmoid_values
-
-
 def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid(a.data)
+    y = sigmoid_values(a.data)
     out = Tensor(y)
 
     def bwd(g):
         return (g * y * (1.0 - y),)
-
-    return _record(out, (a,), bwd)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-
-    def bwd(g):
-        return (g * (a.data > 0.0),)
 
     return _record(out, (a,), bwd)
 
@@ -326,7 +258,7 @@ def sigmoid_xent(logits: Tensor, targets: Tensor) -> Tensor:
     out = Tensor(per_unit.sum() / n)
 
     def bwd(g):
-        return g * (_sigmoid(z) - t) / n, None
+        return g * (sigmoid_values(z) - t) / n, None
 
     return _record(out, (logits, targets), bwd)
 
@@ -336,15 +268,6 @@ def sum(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (np.full(a.shape, float(g)),)
-
-    return _record(out, (a,), bwd)
-
-
-def mean(a: Tensor) -> Tensor:
-    out = Tensor(a.data.mean())
-
-    def bwd(g):
-        return (np.full(a.shape, float(g) / a.size),)
 
     return _record(out, (a,), bwd)
 
@@ -402,6 +325,69 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(a.shape),)
 
     return _record(out, (a,), bwd)
+
+
+def lstm(xs: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+    """One LSTM direction over the rows of `xs` [T, in], from a zero state.
+
+    The gates (i, f, g, o) are consecutive H-column blocks of W [in, 4H],
+    U [H, 4H] and b [4H], the gate-stacked layout of Appleyard et al.
+    (arXiv:1604.01946). The input projection is one GEMM hoisted out of the
+    recurrence, and backpropagation through time forms each weight gradient
+    as one GEMM over all steps. Returns the states [T, H] as one tape entry.
+    """
+    if (
+        xs.data.ndim != 2
+        or U.data.ndim != 2
+        or xs.shape[0] == 0
+        or U.shape[1] != 4 * U.shape[0]
+        or W.shape != (xs.shape[1], U.shape[1])
+        or b.shape != (U.shape[1],)
+    ):
+        raise ShapeError(
+            "lstm: need xs [T>0, in], W [in, 4H], U [H, 4H], b [4H], got "
+            f"{xs.shape}, {W.shape}, {U.shape}, {b.shape}"
+        )
+    x, w, u = xs.data, W.data, U.data
+    steps, hidden = x.shape[0], u.shape[0]
+    cand = slice(2 * hidden, 3 * hidden)
+    x_proj = x @ w + b.data
+    acts = np.empty((steps, 4 * hidden))
+    cells = np.empty((steps, hidden))
+    tanh_cells = np.empty((steps, hidden))
+    states = np.empty((steps, hidden))
+    h = c = np.zeros(hidden)
+    for t in range(steps):
+        z = x_proj[t] + h @ u
+        a = sigmoid_values(z)
+        a[cand] = np.tanh(z[cand])
+        i, f, g, o = np.split(a, 4)
+        c = f * c + i * g
+        tanh_cells[t] = np.tanh(c)
+        h = o * tanh_cells[t]
+        acts[t], cells[t], states[t] = a, c, h
+    out = Tensor(states)
+
+    def bwd(d_states):
+        prev_cells = np.vstack([np.zeros(hidden), cells[:-1]])
+        prev_states = np.vstack([np.zeros(hidden), states[:-1]])
+        # Derivative of each activation with respect to its pre-activation.
+        slopes = acts * (1.0 - acts)
+        slopes[:, cand] = 1.0 - acts[:, cand] ** 2
+        dz = np.empty_like(acts)
+        dh = np.zeros(hidden)
+        dc = np.zeros(hidden)
+        for t in reversed(range(steps)):
+            i, f, g, o = np.split(acts[t], 4)
+            dh = d_states[t] + dh
+            dc = dc + dh * o * (1.0 - tanh_cells[t] ** 2)
+            dz[t] = np.concatenate([dc * g, dc * prev_cells[t], dc * i, dh * tanh_cells[t]])
+            dz[t] *= slopes[t]
+            dc = dc * f
+            dh = u @ dz[t]
+        return dz @ w.T, x.T @ dz, prev_states.T @ dz, dz.sum(axis=0)
+
+    return _record(out, (xs, W, U, b), bwd)
 
 
 def dropout_mask(shape, rate: float, rng) -> Tensor:

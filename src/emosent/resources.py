@@ -159,10 +159,6 @@ class Thesaurus:
         return list(self.entries.get(word, ())[:k])
 
 
-def expand(thesaurus: Thesaurus, word: str, k: int = 4) -> list[str]:
-    return thesaurus.expand(word, k)
-
-
 @dataclass
 class Example:
     id: str

@@ -41,7 +41,6 @@ class TrainConfig:
     seed: int = 0
     sentiment_loss_weight: float = 1.0
     emotion_loss_weight: float = 1.0
-    emotion_threshold: float = 0.5
     patience: int | None = None
 
     def __post_init__(self):
@@ -49,10 +48,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if not 0.0 < self.emotion_threshold < 1.0:
-            raise ValueError(
-                f"emotion_threshold must be in (0, 1), got {self.emotion_threshold}"
-            )
         if self.sentiment_loss_weight < 0 or self.emotion_loss_weight < 0:
             raise ValueError("loss weights must be non-negative")
         if self.patience is not None and self.patience < 1:

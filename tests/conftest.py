@@ -1,6 +1,7 @@
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -20,6 +21,17 @@ def small_config(mode="M2", **overrides):
     )
     settings.update(overrides)
     return ModelConfig(**settings)
+
+
+def gate_weights(params, prefix):
+    """One LSTM direction's gate-stacked tensors sliced into the per-gate
+    nested lists (W_i, U_i, b_i, ...) that the loop oracle takes."""
+    weights = {}
+    for name in ("W", "U", "b"):
+        blocks = np.split(params[f"{prefix}/{name}"].data, 4, axis=-1)
+        for gate, block in zip("ifgo", blocks):
+            weights[f"{name}_{gate}"] = block.tolist()
+    return weights
 
 
 @pytest.fixture(scope="session")

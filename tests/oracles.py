@@ -180,15 +180,3 @@ def prf_counts(tp, fp, fn):
     r = tp / (tp + fn) if tp + fn else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0
     return p, r, f
-
-
-def paired_t_sf_numeric(t_abs: float, df: int) -> float:
-    """Two-sided p-value by integrating the t density at high precision."""
-    with mpmath.workdps(40):
-        nu = mpmath.mpf(df)
-        coef = mpmath.gamma((nu + 1) / 2) / (
-            mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2)
-        )
-        pdf = lambda x: coef * (1 + x * x / nu) ** (-(nu + 1) / 2)
-        tail = mpmath.quad(pdf, [mpmath.mpf(t_abs), mpmath.inf])
-        return float(2 * tail)

@@ -29,7 +29,7 @@ from emosent.resources import EncodedExample
 from emosent.train import TrainConfig, evaluate, train
 
 import oracles
-from conftest import FIXTURES, small_config
+from conftest import FIXTURES, gate_weights, small_config
 
 
 @pytest.fixture
@@ -123,14 +123,7 @@ def test_03_component_oracle_equivalence(announce):
         params = init_parameters(config, vocab_size=6, seed=trial)
         xs = [rng.normal(size=5) for _ in range(3)]
         states = bilstm_forward([nd.Tensor(x) for x in xs], params, config)
-        weights = {
-            prefix: {
-                key: params[f"lstm_{prefix}/{key}"].data.tolist()
-                for gate in "ifgo"
-                for key in (f"W_{gate}", f"U_{gate}", f"b_{gate}")
-            }
-            for prefix in ("fw", "bw")
-        }
+        weights = {prefix: gate_weights(params, f"lstm_{prefix}") for prefix in ("fw", "bw")}
         fw = oracles.lstm_direction_loops([x.tolist() for x in xs], weights["fw"], 4)
         bw = oracles.lstm_direction_loops(
             [x.tolist() for x in reversed(xs)], weights["bw"], 4

@@ -1,4 +1,6 @@
 """Checkpoint byte format: exact round-trips and corruption detection."""
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from emosent.checkpoint import (
     save_checkpoint,
 )
 from emosent.model import TASK_EMOTION, TASK_SENTIMENT, forward, init_parameters
+from emosent.nd import Tensor
+from emosent.resources import Vocabulary
 
 from conftest import small_config
 
@@ -147,3 +151,63 @@ class TestCorruptionDetection:
         padded.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(padded)
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to a saved checkpoint's parsed header, keeping the payload."""
+    raw = path.read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(raw[len(MAGIC) : start], "big")
+    header = json.loads(raw[start:end])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "big") + blob + raw[end:])
+
+
+class TestHeaderValidation:
+    def test_format_version_one_rejected(self, saved):
+        _, _, path = saved
+        rewrite_header(path, lambda h: h.update(format_version=1))
+        with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key(self, saved):
+        _, _, path = saved
+        rewrite_header(path, lambda h: h["config"].update(banana=1))
+        with pytest.raises(CheckpointError, match=r"unknown \['banana'\], missing \[\]"):
+            load_checkpoint(path)
+
+    def test_missing_tensor(self, saved, bundle, tmp_path):
+        config, params, _ = saved
+        path = tmp_path / "missing.bin"
+        kept = {n: p for n, p in params.items() if n != "lstm_fw/W"}
+        save_checkpoint(path, config, kept, bundle.vocab)
+        with pytest.raises(CheckpointError, match=r"missing \['lstm_fw/W'\], unexpected \[\]"):
+            load_checkpoint(path)
+
+    def test_extra_tensor(self, saved, bundle, tmp_path):
+        config, params, _ = saved
+        path = tmp_path / "extra.bin"
+        stale = {**params, "lstm_fw/W_i": Tensor(np.zeros((16, 8)))}
+        save_checkpoint(path, config, stale, bundle.vocab)
+        with pytest.raises(CheckpointError, match=r"missing \[\], unexpected \['lstm_fw/W_i'\]"):
+            load_checkpoint(path)
+
+    def test_misshapen_tensor(self, saved, bundle, tmp_path):
+        config, params, _ = saved
+        path = tmp_path / "misshapen.bin"
+        misshapen = {**params, "sentiment/u": Tensor(np.zeros(5))}
+        save_checkpoint(path, config, misshapen, bundle.vocab)
+        expected = r"wrong shapes \{'sentiment/u': '\(5,\) not \(4,\)'\}"
+        with pytest.raises(CheckpointError, match=expected):
+            load_checkpoint(path)
+
+    def test_embedding_rows_differ_from_vocabulary(self, saved, bundle, tmp_path):
+        config, params, _ = saved
+        words = bundle.vocab.words[:-1]
+        path = tmp_path / "short_vocab.bin"
+        vocab = Vocabulary(words, {w: i for i, w in enumerate(words)})
+        save_checkpoint(path, config, params, vocab)
+        expected = rf"{len(words)}-word vocabulary: .*'embedding': '\({len(words) + 1}, 16\) not"
+        with pytest.raises(CheckpointError, match=expected):
+            load_checkpoint(path)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from emosent import nd
+from emosent.checkpoint import load_checkpoint, save_checkpoint
 from emosent.cli import entrypoint
 from emosent.metrics import parse_metrics
 
@@ -66,6 +67,15 @@ class TestTrainCommand:
         assert "unknown config key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_outside_unit_interval_fails_before_training(
+        self, tmp_path, capsys, threshold
+    ):
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", threshold=threshold)
+        assert entrypoint(["train", "--config", str(config)]) == 2
+        assert "threshold must be in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_embeddings_key(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.cfg", tmp_path / "out", embeddings=None)
         assert entrypoint(["train", "--config", str(config)]) == 2
@@ -124,6 +134,14 @@ class TestPredictCommand:
         checkpoint = str(trained.out / "checkpoint.bin")
         assert entrypoint(["predict", checkpoint, "   "]) == 2
         assert "empty input" in capsys.readouterr().err
+
+    def test_checkpoint_missing_a_tensor_is_usage_error(self, trained, tmp_path, capsys):
+        ckpt = load_checkpoint(trained.out / "checkpoint.bin")
+        del ckpt.params["lstm_bw/U"]
+        broken = tmp_path / "broken.bin"
+        save_checkpoint(broken, ckpt.config, ckpt.params, ckpt.vocab)
+        assert entrypoint(["predict", str(broken), "joyword"]) == 2
+        assert "missing ['lstm_bw/U']" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         assert entrypoint(["predict", str(tmp_path / "no.bin"), "hello"]) == 2

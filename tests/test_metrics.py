@@ -1,6 +1,4 @@
 """Metric math against hand-derived counts, plus report file round-trips."""
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +17,8 @@ from emosent.metrics import (
     sentiment_metrics_from_counts,
 )
 from emosent.resources import EMOTIONS
-from emosent.significance import significance_test
 
-from oracles import confusion_loops, paired_t_sf_numeric, prf_counts
+from oracles import confusion_loops, prf_counts
 
 
 class TestPRF:
@@ -141,57 +138,3 @@ class TestReportFiles:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_metrics("not a metrics line\n")
-
-
-class TestSignificance:
-    def test_identical_pairs(self):
-        res = significance_test([(0.7, 0.7)] * 5)
-        assert res.t_statistic == 0.0
-        assert res.p_value == 1.0
-        assert res.degenerate_variance
-
-    def test_constant_nonzero_difference(self):
-        res = significance_test([(0.70, 0.80)] * 5)
-        assert res.p_value == 0.0
-        assert res.degenerate_variance
-        assert math.isinf(res.t_statistic) and res.t_statistic > 0
-
-    def test_critical_value_anchor(self):
-        # Differences tuned so t equals the df=4 two-tailed 5% critical
-        # value 2.776445; the p-value must land on 0.05.
-        diffs = [1.0, 1.0, 1.0, 1.0, 1.0 + 5.0 / 1.776445]
-        res = significance_test([(0.0, d) for d in diffs])
-        assert res.t_statistic == pytest.approx(2.776445, abs=1e-6)
-        assert res.p_value == pytest.approx(0.05, abs=1e-3)
-        assert res.p_value == pytest.approx(
-            paired_t_sf_numeric(res.t_statistic, 4), abs=1e-9
-        )
-
-    def test_textbook_five_pairs(self):
-        pairs = [(0.0, float(d)) for d in (1, 2, 3, 4, 5)]
-        res = significance_test(pairs)
-        assert res.t_statistic == pytest.approx(3.0 / (math.sqrt(2.5) / math.sqrt(5)), abs=1e-9)
-        assert res.p_value == pytest.approx(paired_t_sf_numeric(abs(res.t_statistic), 4), abs=1e-9)
-        assert res.n_pairs == 5
-
-    def test_direction_of_differences(self):
-        res = significance_test([(2.0, 1.0), (2.1, 1.2), (1.9, 0.8)])
-        assert res.t_statistic < 0
-
-    def test_too_few_pairs_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            significance_test([(0.5, 0.6)])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)
-            ),
-            min_size=2,
-            max_size=10,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_p_value_in_unit_interval(self, pairs):
-        res = significance_test(pairs)
-        assert 0.0 <= res.p_value <= 1.0

@@ -4,6 +4,7 @@ import pytest
 
 from emosent import nd
 from emosent.model import (
+    INIT_STD,
     ModelConfig,
     TASK_EMOTION,
     TASK_SENTIMENT,
@@ -18,7 +19,9 @@ from emosent.model import (
     task_heads,
 )
 from emosent.resources import EncodedExample
+from emosent.rng import stage_rng, truncated_normal
 
+from conftest import gate_weights
 from oracles import (
     affine_loops,
     lstm_direction_loops,
@@ -47,14 +50,6 @@ def tiny_example(n_tokens=3):
         sentiment="positive",
         emotions=np.array([1.0, 0, 0, 0, 1.0, 0, 0, 0]),
     )
-
-
-def direction_weights(params, prefix):
-    return {
-        key: params[f"{prefix}/{key}"].data.tolist()
-        for gate in "ifgo"
-        for key in (f"W_{gate}", f"U_{gate}", f"b_{gate}")
-    }
 
 
 class TestModelConfig:
@@ -109,6 +104,15 @@ class TestInitParameters:
             assert np.all(np.abs(a[name].data) <= 0.2)
         assert not np.array_equal(a["sentiment/W_s"].data, c["sentiment/W_s"].data)
 
+    def test_gate_blocks_keep_the_per_gate_streams(self):
+        params = init_parameters(tiny_config(), vocab_size=9, seed=6)
+        for prefix in ("lstm_fw", "lstm_bw"):
+            for name, shape in (("W", (5, 4)), ("U", (4, 4)), ("b", (4,))):
+                blocks = np.split(params[f"{prefix}/{name}"].data, 4, axis=-1)
+                for gate, block in zip("ifgo", blocks):
+                    rng = stage_rng(6, f"init/{prefix}/{name}_{gate}")
+                    np.testing.assert_array_equal(block, truncated_normal(rng, shape, INIT_STD))
+
     def test_pretrained_embeddings_frozen_by_default(self):
         rows = np.arange(45, dtype=np.float64).reshape(9, 5)
         params = init_parameters(tiny_config(), embedding_rows=rows)
@@ -137,8 +141,8 @@ class TestBiLSTM:
         params = init_parameters(config, vocab_size=3, seed=1)
         x = params["embedding"].data[1]
         (h,) = bilstm_forward([nd.Tensor(x)], params, config)
-        fw = lstm_direction_loops([x.tolist()], direction_weights(params, "lstm_fw"), 4)
-        bw = lstm_direction_loops([x.tolist()], direction_weights(params, "lstm_bw"), 4)
+        fw = lstm_direction_loops([x.tolist()], gate_weights(params, "lstm_fw"), 4)
+        bw = lstm_direction_loops([x.tolist()], gate_weights(params, "lstm_bw"), 4)
         np.testing.assert_allclose(h.data, fw[0] + bw[0], rtol=0, atol=1e-12)
 
     def test_length_three_matches_scalar_loop_oracle(self):
@@ -147,9 +151,9 @@ class TestBiLSTM:
         rng = np.random.default_rng(3)
         xs = [rng.normal(size=5) for _ in range(3)]
         states = bilstm_forward([nd.Tensor(x) for x in xs], params, config)
-        fw = lstm_direction_loops([x.tolist() for x in xs], direction_weights(params, "lstm_fw"), 4)
+        fw = lstm_direction_loops([x.tolist() for x in xs], gate_weights(params, "lstm_fw"), 4)
         bw = lstm_direction_loops(
-            [x.tolist() for x in reversed(xs)], direction_weights(params, "lstm_bw"), 4
+            [x.tolist() for x in reversed(xs)], gate_weights(params, "lstm_bw"), 4
         )
         bw.reverse()
         for t in range(3):

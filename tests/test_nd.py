@@ -55,6 +55,22 @@ class TestMatmul:
             nd.matmul(nd.Tensor(np.ones((2, 2, 2))), nd.Tensor(np.ones((2, 2))))
 
 
+class TestLstm:
+    @pytest.mark.parametrize(
+        "xs,W,U,b",
+        [
+            ((3, 5), (4, 8), (2, 8), (8,)),
+            ((3, 5), (5, 8), (2, 6), (8,)),
+            ((3, 5), (5, 8), (2, 8), (6,)),
+            ((5,), (5, 8), (2, 8), (8,)),
+            ((0, 5), (5, 8), (2, 8), (8,)),
+        ],
+    )
+    def test_mismatched_operands_rejected(self, xs, W, U, b):
+        with pytest.raises(nd.ShapeError, match="lstm"):
+            nd.lstm(*(nd.Tensor(np.ones(s)) for s in (xs, W, U, b)))
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_array_equal(nd.softmax(nd.Tensor([0.0, 0.0])).data, [0.5, 0.5])

@@ -15,7 +15,6 @@ from emosent.resources import (
     Thesaurus,
     build_vocab,
     encode_example,
-    expand,
     load_corpus,
     load_embeddings,
     serialize_corpus,
@@ -81,7 +80,7 @@ class TestLoadEmbeddings:
 class TestThesaurus:
     def test_expansion_preserves_file_ranking(self, fixtures_dir):
         thes = Thesaurus.from_file(fixtures_dir / "thesaurus.tsv")
-        assert expand(thes, "good", 4) == ["great", "nice", "awesome", "superb"]
+        assert thes.expand("good", 4) == ["great", "nice", "awesome", "superb"]
 
     def test_absent_headword(self):
         assert Thesaurus({}).expand("zzzq") == []

@@ -35,9 +35,8 @@ class TestTrainConfig:
         [
             {"batch_size": 0},
             {"epochs": 0},
-            {"emotion_threshold": 0.0},
-            {"emotion_threshold": 1.0},
             {"sentiment_loss_weight": -1.0},
+            {"emotion_loss_weight": -1.0},
             {"patience": 0},
         ],
     )
