@@ -7,9 +7,10 @@ one affine sigmoid head. Modes S*/E* run one task, M* run both off the
 same encoder states. The pooled width is embed_dim + 2*lstm_hidden with
 word attention on, 2*lstm_hidden with it off.
 
-Each LSTM direction holds three tensors, lstm_{fw,bw}/W [embed_dim, 4H],
-U [H, 4H] and b [4H] with H = lstm_hidden, whose gates (i, f, g, o) are
-consecutive H-column blocks; `nd.lstm` runs a whole direction as one op.
+Each layer runs on the whole tweet as a few ops on [T, ·] matrices, so the
+tape entries of a pass do not grow with T. Each LSTM direction holds three
+tensors, lstm_{fw,bw}/W [embed_dim, 4H], U [H, 4H] and b [4H] with
+H = lstm_hidden, whose gates (i, f, g, o) are consecutive H-column blocks.
 
 Sentiment is decided by argmax over the two sigmoid outputs with index
 order (negative, positive); emotions are thresholded per label at 0.5,
@@ -18,7 +19,7 @@ the boundary counting as positive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -137,11 +138,19 @@ def trainable_names(params: Mapping[str, nd.Tensor]) -> list[str]:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass, for inspection and tests."""
+    """Every intermediate of one forward pass, for inspection and tests.
+
+    `h` holds the BiLSTM states [T, 2H] and `hhat[task]` the rows that
+    sentence attention pools, [T, pooled_dim] (`h` itself with word
+    attention off). `primary_alpha[task]` lists each position's
+    word-attention weights, trimmed to its candidate count (empty for a
+    token without candidates), and `sentence_alpha[task]` holds the T
+    sentence-attention weights.
+    """
 
     mode: str
-    h: list[nd.Tensor]
-    hhat: dict[str, list[nd.Tensor]] = field(default_factory=dict)
+    h: nd.Tensor
+    hhat: dict[str, nd.Tensor] = field(default_factory=dict)
     primary_alpha: dict[str, list[np.ndarray]] = field(default_factory=dict)
     sentence_alpha: dict[str, np.ndarray] = field(default_factory=dict)
     sentence_vector: dict[str, nd.Tensor] = field(default_factory=dict)
@@ -150,98 +159,56 @@ class ForwardTrace:
     predictions: dict[str, object] = field(default_factory=dict)
 
 
+def _dropout(x: nd.Tensor, config: ModelConfig, train_mode: bool, rng) -> nd.Tensor:
+    """Inverted dropout on every entry of `x` in train mode, else `x`."""
+    if not train_mode or config.dropout_rate == 0.0:
+        return x
+    if rng is None:
+        raise ValueError("train-mode forward needs dropout_rng when dropout_rate > 0")
+    return nd.mul(x, nd.dropout_mask(x.shape, config.dropout_rate, rng))
+
+
 def bilstm_forward(
-    embeds: Sequence[nd.Tensor],
+    xs: nd.Tensor,
     params: Mapping[str, nd.Tensor],
     config: ModelConfig,
     train_mode: bool = False,
     dropout_rng=None,
-) -> list[nd.Tensor]:
-    """Per-position states h_t = concat(forward_t, backward_t), with
-    dropout on each h_t in train mode."""
-    embeds = list(embeds)
-    if not embeds:
+) -> nd.Tensor:
+    """States [T, 2H] for the embeddings `xs` [T, embed_dim]; row t is
+    concat(forward_t, backward_t), with dropout in train mode."""
+    if xs.shape[0] == 0:
         raise ValueError("bilstm_forward needs a non-empty sequence")
-    steps, hidden = len(embeds), config.lstm_hidden
-    xs = nd.stack(embeds)
+    reverse = range(xs.shape[0] - 1, -1, -1)
     fw = nd.lstm(xs, params["lstm_fw/W"], params["lstm_fw/U"], params["lstm_fw/b"])
     bw = nd.lstm(
-        nd.take_rows(xs, range(steps - 1, -1, -1)),
-        params["lstm_bw/W"],
-        params["lstm_bw/U"],
-        params["lstm_bw/b"],
+        nd.take_rows(xs, reverse), params["lstm_bw/W"], params["lstm_bw/U"], params["lstm_bw/b"]
     )
-    # Stacked, rows t and 2T-1-t hold position t's forward and backward states.
-    both = nd.reshape(
-        nd.concat([nd.reshape(fw, (-1,)), nd.reshape(bw, (-1,))]), (2 * steps, hidden)
-    )
-    states = [
-        nd.reshape(nd.take_rows(both, [t, 2 * steps - 1 - t]), (2 * hidden,))
-        for t in range(steps)
-    ]
-    if train_mode and config.dropout_rate > 0.0:
-        if dropout_rng is None:
-            raise ValueError("train-mode forward needs dropout_rng when dropout_rate > 0")
-        states = [
-            nd.mul(s, nd.dropout_mask(s.shape, config.dropout_rate, dropout_rng))
-            for s in states
-        ]
-    return states
-
-
-def _as_matrix(candidates) -> nd.Tensor | None:
-    if candidates is None:
-        return None
-    if isinstance(candidates, nd.Tensor):
-        return None if candidates.shape[0] == 0 else candidates
-    candidates = list(candidates)
-    if not candidates:
-        return None
-    return nd.stack(candidates)
+    states = nd.concat([fw, nd.take_rows(bw, reverse)])
+    return _dropout(states, config, train_mode, dropout_rng)
 
 
 def primary_attention(
-    h_t: nd.Tensor,
-    candidates,
-    params: Mapping[str, nd.Tensor],
-    task: str,
+    h: nd.Tensor, keys: nd.Tensor, mask: np.ndarray, params: Mapping[str, nd.Tensor], task: str
 ) -> tuple[np.ndarray, nd.Tensor]:
-    """Word attention over candidate embeddings for one position.
-
-    `candidates` is a [k, embed_dim] tensor or a sequence of embed_dim
-    vectors; empty or None mixes in a zero vector. Returns the coefficient
-    values and hhat_t = concat(mix, h_t).
+    """Word attention: row t of `h` [T, 2H] attends over its candidate
+    embeddings, rows t*K .. t*K+K-1 of `keys` [T*K, embed_dim] where
+    `mask` [T, K] is set; a row without candidates mixes in zeros.
+    Returns the weights [T, K] and hhat = concat(mix, h) [T, pooled_dim].
     """
-    b_w = params[f"{task}/b_w"]
-    matrix = _as_matrix(candidates)
-    if matrix is None:
-        return np.zeros(0), nd.concat([nd.zeros(b_w.shape[0]), h_t])
-    query = nd.add(nd.matmul(h_t, params[f"{task}/W_w"]), b_w)
-    alpha = nd.softmax(nd.matmul(matrix, query))
-    mix = nd.matmul(alpha, matrix)
-    return alpha.data.copy(), nd.concat([mix, h_t])
+    query = nd.affine(h, params[f"{task}/W_w"], params[f"{task}/b_w"])
+    mix, alpha = nd.attend(query, keys, mask)
+    return alpha, nd.concat([mix, h])
 
 
 def secondary_attention(
-    hhats: Sequence[nd.Tensor],
-    params: Mapping[str, nd.Tensor],
-    task: str,
+    hhat: nd.Tensor, params: Mapping[str, nd.Tensor], task: str
 ) -> tuple[np.ndarray, nd.Tensor]:
-    """Sentence attention: score each position with the task context vector,
-    normalize, and return the coefficient values with the pooled vector."""
-    hhats = list(hhats)
-    if not hhats:
-        raise ValueError("secondary_attention needs a non-empty sequence")
+    """Sentence attention: score each row of `hhat` [T, P > 0] with the task
+    context vector, normalize, and return the weights with the pooled vector."""
     W_s, b_s, u = (params[f"{task}/{n}"] for n in ("W_s", "b_s", "u"))
-    scores = nd.concat(
-        [
-            nd.reshape(nd.matmul(nd.tanh(nd.add(nd.matmul(hh, W_s), b_s)), u), (1,))
-            for hh in hhats
-        ]
-    )
-    alpha = nd.softmax(scores)
-    pooled = nd.matmul(alpha, nd.stack(hhats))
-    return alpha.data.copy(), pooled
+    alpha = nd.softmax(nd.matmul(nd.tanh(nd.affine(hhat, W_s, b_s)), u))
+    return alpha.data, nd.matmul(alpha, hhat)
 
 
 def task_heads(
@@ -249,7 +216,7 @@ def task_heads(
 ) -> dict[str, nd.Tensor]:
     """One affine layer of logits per task."""
     return {
-        task: nd.add(nd.matmul(vec, params[f"{task}/V"]), params[f"{task}/c"])
+        task: nd.affine(vec, params[f"{task}/V"], params[f"{task}/c"])
         for task, vec in sentence_vectors.items()
     }
 
@@ -275,38 +242,25 @@ def forward(
     if not example.token_ids:
         raise ValueError(f"example {example.id!r} has no tokens")
     embedding = params["embedding"]
-    embeds = [
-        nd.reshape(nd.take_rows(embedding, [tid]), (config.embed_dim,))
-        for tid in example.token_ids
-    ]
-    trace = ForwardTrace(
-        config.mode, bilstm_forward(embeds, params, config, train_mode, dropout_rng)
-    )
-    candidate_matrices = None
+    xs = nd.take_rows(embedding, example.token_ids)
+    trace = ForwardTrace(config.mode, bilstm_forward(xs, params, config, train_mode, dropout_rng))
     if config.primary_attention_enabled:
-        candidate_matrices = [
-            nd.take_rows(embedding, ids) if ids else None
-            for ids in example.candidate_ids
-        ]
+        # Candidate lists are padded to the longest one; the stand-in row 0
+        # is masked out, so it gets zero weight and zero gradient.
+        counts = [len(ids) for ids in example.candidate_ids]
+        width = max(counts)
+        mask = np.arange(width) < np.array(counts)[:, None]
+        padded = [list(ids) + [0] * (width - len(ids)) for ids in example.candidate_ids]
+        keys = nd.take_rows(embedding, [i for row in padded for i in row])
     for task in config.tasks:
-        if candidate_matrices is not None:
-            hhats = []
-            alphas = []
-            for t, cands in enumerate(candidate_matrices):
-                alpha, hhat = primary_attention(trace.h[t], cands, params, task)
-                alphas.append(alpha)
-                hhats.append(hhat)
-            trace.primary_alpha[task] = alphas
-        else:
-            hhats = list(trace.h)
-        trace.hhat[task] = hhats
-        alpha, pooled = secondary_attention(hhats, params, task)
-        if train_mode and config.dropout_rate > 0.0:
-            pooled = nd.mul(
-                pooled, nd.dropout_mask(pooled.shape, config.dropout_rate, dropout_rng)
-            )
+        hhat = trace.h
+        if config.primary_attention_enabled:
+            alpha, hhat = primary_attention(trace.h, keys, mask, params, task)
+            trace.primary_alpha[task] = [row[:n] for row, n in zip(alpha, counts)]
+        trace.hhat[task] = hhat
+        alpha, pooled = secondary_attention(hhat, params, task)
         trace.sentence_alpha[task] = alpha
-        trace.sentence_vector[task] = pooled
+        trace.sentence_vector[task] = _dropout(pooled, config, train_mode, dropout_rng)
     for task, logits in task_heads(trace.sentence_vector, params).items():
         trace.logits[task] = logits
         probs = nd.sigmoid_values(logits.data)

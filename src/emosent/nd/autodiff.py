@@ -1,9 +1,10 @@
 """Dense float64 tensors and a record/replay tape for reverse-mode gradients.
 
 Everything here is deliberately small: 1-D and 2-D arrays, the handful of
-primitives the sequence model needs (one of them a fused LSTM direction),
-and a tape that records ops in execution order (which is already a
-topological order) and replays them backwards.
+primitives the sequence model needs (among them fused ops for an affine
+layer, masked attention and an LSTM direction, each one tape entry for a
+whole sequence), and a tape that records ops in execution order (which is
+already a topological order) and replays them backwards.
 """
 from __future__ import annotations
 
@@ -194,6 +195,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b for one vector x or each row of a matrix x, as one tape entry."""
+    if x.data.ndim not in (1, 2) or W.data.ndim != 2 or (x.shape[-1], *b.shape) != W.shape:
+        raise ShapeError(f"affine: need x [.., in], W [in, out], b [out], got {x, W, b}")
+    xd, wd = x.data, W.data
+    out = Tensor(np.dot(xd, wd) + b.data)
+
+    def bwd(g):
+        if xd.ndim == 1:
+            return wd @ g, np.outer(xd, g), g
+        return g @ wd.T, xd.T @ g, g.sum(axis=0)
+
+    return _record(out, (x, W, b), bwd)
+
+
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = Tensor(y)
@@ -218,16 +234,6 @@ def sigmoid_values(x) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = sigmoid_values(a.data)
-    out = Tensor(y)
-
-    def bwd(g):
-        return (g * y * (1.0 - y),)
-
-    return _record(out, (a,), bwd)
-
-
 def softmax(scores: Tensor) -> Tensor:
     """Normalized exponentials of a vector, max-subtracted for overflow safety."""
     if scores.data.ndim != 1 or scores.size == 0:
@@ -241,6 +247,41 @@ def softmax(scores: Tensor) -> Tensor:
         return (y * (g - np.dot(g, y)),)
 
     return _record(out, (scores,), bwd)
+
+
+def attend(queries: Tensor, keys: Tensor, mask) -> tuple[Tensor, np.ndarray]:
+    """Masked dot-product attention of each query over its own K keys.
+
+    Row t of `queries` [T, d] scores rows t*K .. t*K+K-1 of `keys` [T*K, d]
+    where the boolean `mask` [T, K] is set, normalizes those scores with a
+    max-subtracted softmax and mixes the keys with the weights. A row with
+    no unmasked key mixes in zeros, and masked keys get exactly zero weight
+    and zero gradient. Returns the mix [T, d] as one tape entry and the
+    weights [T, K] as a plain array.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    fits = queries.data.ndim == mask.ndim == 2 and mask.shape[0] == queries.shape[0]
+    if not fits or keys.shape != (mask.size, queries.shape[1]):
+        raise ShapeError(f"attend: need queries [T, d], keys [T*K, d], mask [T, K], got "
+                         f"{queries.shape}, {keys.shape}, {mask.shape}")
+    steps, width = mask.shape
+    q = queries.data
+    k = keys.data.reshape(steps, width, q.shape[1])
+    scores = np.matmul(k, q[:, :, None])[:, :, 0]
+    top = np.max(scores, axis=1, keepdims=True, initial=-np.inf, where=mask)
+    e = np.exp(scores - top, out=np.zeros_like(scores), where=mask)
+    total = e.sum(axis=1, keepdims=True)
+    weights = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
+    out = Tensor(np.matmul(weights[:, None, :], k)[:, 0, :])
+
+    def bwd(g):
+        d_weights = np.matmul(k, g[:, :, None])[:, :, 0]
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=1, keepdims=True))
+        d_queries = np.matmul(d_scores[:, None, :], k)[:, 0, :]
+        d_keys = weights[:, :, None] * g[:, None, :] + d_scores[:, :, None] * q[:, None, :]
+        return d_queries, d_keys.reshape(keys.shape)
+
+    return _record(out, (queries, keys), bwd), weights
 
 
 def sigmoid_xent(logits: Tensor, targets: Tensor) -> Tensor:
@@ -273,32 +314,18 @@ def sum(a: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors."""
+    """Join tensors along their last axis: vectors end to end, or matrices
+    with the same row count side by side."""
     parts = tuple(parts)
-    if not parts or any(p.data.ndim != 1 for p in parts):
-        raise ShapeError("concat: need at least one 1-D tensor")
-    out = Tensor(np.concatenate([p.data for p in parts]))
-    offsets = np.cumsum([0] + [p.size for p in parts])
+    if not parts or parts[0].data.ndim not in (1, 2) or len({p.shape[:-1] for p in parts}) != 1:
+        raise ShapeError(f"concat: need vectors or equal-height matrices, got {parts}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    offsets = np.cumsum([0] + [p.shape[-1] for p in parts])
 
     def bwd(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return _record(out, parts, bwd)
-
-
-def stack(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length 1-D tensors into a matrix, one per row."""
-    rows = tuple(rows)
-    if not rows or any(r.data.ndim != 1 for r in rows):
-        raise ShapeError("stack: need at least one 1-D tensor")
-    if len({r.shape for r in rows}) != 1:
-        raise ShapeError(f"stack: rows differ in length: {[r.shape for r in rows]}")
-    out = Tensor(np.stack([r.data for r in rows]))
-
-    def bwd(g):
-        return tuple(g[i] for i in range(len(rows)))
-
-    return _record(out, rows, bwd)
 
 
 def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
@@ -316,15 +343,6 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
         return (gm,)
 
     return _record(out, (m,), bwd)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-
-    def bwd(g):
-        return (g.reshape(a.shape),)
-
-    return _record(out, (a,), bwd)
 
 
 def lstm(xs: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:

@@ -110,6 +110,11 @@ def load_embeddings(path, expected_dim: int, seed: int = 0) -> EmbeddingMatrix:
             rows.append(np.zeros(expected_dim))
             appended.add(special)
     matrix = np.vstack(rows)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:  # one check here: a check per parsed row slows loading
+        word = list(index)[bad[0]]
+        lineno = start + 1 + [ln.split(" ")[0] for ln in lines[start:]].index(word)
+        raise ResourceFormatError(f"{path}: line {lineno}: non-finite value for {word!r}")
     matrix[index[PAD]] = 0.0
     matrix[index[OOV]] = truncated_normal(stage_rng(seed, "embeddings/<oov>"), expected_dim)
     for special in SPECIALS[2:]:

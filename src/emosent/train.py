@@ -107,7 +107,8 @@ def train(
     model_cfg: ModelConfig,
 ) -> tuple[dict[str, nd.Tensor], list[float]]:
     """Optimize `params` on `examples`; returns new params and the per-epoch
-    mean loss log. Fully determined by (seed, configs, examples)."""
+    mean loss log. Fully determined by (seed, configs, examples). The first
+    non-finite loss or averaged gradient raises ValueError naming its batch."""
     pool = _trainable_examples(examples, model_cfg)
     if not pool:
         raise ValueError("no trainable examples for this mode")
@@ -118,10 +119,11 @@ def train(
     log: list[float] = []
     best_loss = np.inf
     stale = 0
-    for _epoch in range(train_cfg.epochs):
+    for epoch in range(1, train_cfg.epochs + 1):
         order = shuffle_rng.permutation(len(pool))
         epoch_total = 0.0
         for start in range(0, len(pool), train_cfg.batch_size):
+            where = f"epoch {epoch}, batch {start // train_cfg.batch_size + 1}"
             batch = [pool[i] for i in order[start : start + train_cfg.batch_size]]
             grad_sums = {name: np.zeros(params[name].shape) for name in names}
             for ex in batch:
@@ -136,10 +138,15 @@ def train(
                         train_cfg.sentiment_loss_weight,
                         train_cfg.emotion_loss_weight,
                     )
+                if not np.isfinite(loss.item()):
+                    raise ValueError(f"non-finite loss on example {ex.id!r} in {where}")
                 epoch_total += loss.item()
                 for name, grad in zip(names, tape.gradients(loss, [params[n] for n in names])):
                     grad_sums[name] += grad
             grads = {name: g / len(batch) for name, g in grad_sums.items()}
+            for name, grad in grads.items():
+                if not np.isfinite(grad).all():
+                    raise ValueError(f"non-finite gradient of {name!r} in {where}")
             params, state = nd.adam_step(params, grads, state, lr=train_cfg.lr)
         log.append(epoch_total / len(pool))
         if train_cfg.patience is not None:

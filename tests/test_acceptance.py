@@ -99,8 +99,8 @@ def test_02_attention_normalization(announce):
     symmetric = forward(
         EncodedExample("y", [3], [[7, 7]], "positive", np.zeros(8)), params["M2"], config
     )
-    vec = nd.Tensor(rng.normal(size=config.pooled_dim))
-    pair_alpha, _ = secondary_attention([vec, vec], params["M2"], TASK_SENTIMENT)
+    vec = rng.normal(size=config.pooled_dim)
+    pair_alpha, _ = secondary_attention(nd.Tensor([vec, vec]), params["M2"], TASK_SENTIMENT)
     exact = (
         single.primary_alpha[TASK_SENTIMENT][0].tolist() == [1.0]
         and single.sentence_alpha[TASK_SENTIMENT].tolist() == [1.0]
@@ -122,7 +122,7 @@ def test_03_component_oracle_equivalence(announce):
         config = probe_config("M1")
         params = init_parameters(config, vocab_size=6, seed=trial)
         xs = [rng.normal(size=5) for _ in range(3)]
-        states = bilstm_forward([nd.Tensor(x) for x in xs], params, config)
+        states = bilstm_forward(nd.Tensor(np.stack(xs)), params, config)
         weights = {prefix: gate_weights(params, f"lstm_{prefix}") for prefix in ("fw", "bw")}
         fw = oracles.lstm_direction_loops([x.tolist() for x in xs], weights["fw"], 4)
         bw = oracles.lstm_direction_loops(
@@ -130,22 +130,23 @@ def test_03_component_oracle_equivalence(announce):
         )
         bw.reverse()
         for t in range(3):
-            worst = max(worst, np.abs(states[t].data - np.array(fw[t] + bw[t])).max())
+            worst = max(worst, np.abs(states.data[t] - np.array(fw[t] + bw[t])).max())
 
         h = rng.normal(size=8)
         W_w, b_w = rng.normal(size=(8, 5)), rng.normal(size=5)
         cands = rng.normal(size=(3, 5))
         alpha, hhat = primary_attention(
-            nd.Tensor(h),
+            nd.Tensor([h]),
             nd.Tensor(cands),
+            np.ones((1, 3), bool),
             {"sentiment/W_w": nd.Tensor(W_w), "sentiment/b_w": nd.Tensor(b_w)},
             TASK_SENTIMENT,
         )
         exp_alpha, exp_mix = oracles.primary_attention_loops(
             h.tolist(), W_w.tolist(), b_w.tolist(), cands.tolist()
         )
-        worst = max(worst, np.abs(alpha - exp_alpha).max())
-        worst = max(worst, np.abs(hhat.data[:5] - exp_mix).max())
+        worst = max(worst, np.abs(alpha[0] - exp_alpha).max())
+        worst = max(worst, np.abs(hhat.data[0, :5] - exp_mix).max())
 
         vectors = [rng.normal(size=6) for _ in range(3)]
         W_s, b_s, u = rng.normal(size=(6, 3)), rng.normal(size=3), rng.normal(size=3)
@@ -155,7 +156,7 @@ def test_03_component_oracle_equivalence(announce):
             "emotion/u": nd.Tensor(u),
         }
         alpha, pooled = secondary_attention(
-            [nd.Tensor(v) for v in vectors], sec_params, TASK_EMOTION
+            nd.Tensor(np.stack(vectors)), sec_params, TASK_EMOTION
         )
         exp_alpha, exp_pooled = oracles.secondary_attention_loops(
             [v.tolist() for v in vectors], W_s.tolist(), b_s.tolist(), u.tolist()

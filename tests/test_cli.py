@@ -1,6 +1,7 @@
 """End-to-end command behavior through the in-process entry point."""
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from emosent import nd
@@ -74,6 +75,33 @@ class TestTrainCommand:
         config = write_config(tmp_path / "run.cfg", tmp_path / "out", threshold=threshold)
         assert entrypoint(["train", "--config", str(config)]) == 2
         assert "threshold must be in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_embedding_fails_before_training(self, tmp_path, capsys):
+        rows = (FIXTURES / "embeddings.txt").read_text(encoding="utf-8").splitlines()
+        word, *values = rows[1].split(" ")
+        rows[1] = " ".join([word, "nan", *values[1:]])
+        embeddings = tmp_path / "nan.txt"
+        embeddings.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", embeddings=embeddings)
+        assert entrypoint(["train", "--config", str(config)]) == 2
+        assert f"line 2: non-finite value for {word!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_loss_fails_before_writing(self, tmp_path, capsys, monkeypatch):
+        import emosent.cli as cli
+
+        init = cli.init_parameters
+
+        def poisoned(*args, **kwargs):
+            params = init(*args, **kwargs)
+            params["sentiment/c"] = nd.Tensor([np.nan, 0.0], requires_grad=True)
+            return params
+
+        monkeypatch.setattr(cli, "init_parameters", poisoned)
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", epochs=1)
+        assert entrypoint(["train", "--config", str(config)]) == 2
+        assert "epoch 1, batch 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_embeddings_key(self, tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Network ops against loop oracles, plus trace and mode invariants."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emosent import nd
 from emosent.model import (
     INIT_STD,
+    MODES,
     ModelConfig,
     TASK_EMOTION,
     TASK_SENTIMENT,
@@ -20,6 +23,7 @@ from emosent.model import (
 )
 from emosent.resources import EncodedExample
 from emosent.rng import stage_rng, truncated_normal
+from emosent.train import joint_loss
 
 from conftest import gate_weights
 from oracles import (
@@ -132,45 +136,45 @@ class TestBiLSTM:
             name: nd.Tensor(np.zeros(shape))
             for name, shape in parameter_shapes(config, 3).items()
         }
-        embeds = [nd.Tensor(np.zeros(5)) for _ in range(3)]
-        for h in bilstm_forward(embeds, params, config):
-            np.testing.assert_array_equal(h.data, np.zeros(8))
+        embeds = nd.Tensor(np.zeros((3, 5)))
+        for h in bilstm_forward(embeds, params, config).data:
+            np.testing.assert_array_equal(h, np.zeros(8))
 
     def test_length_one_concatenates_both_directions(self):
         config = tiny_config("M1")
         params = init_parameters(config, vocab_size=3, seed=1)
         x = params["embedding"].data[1]
-        (h,) = bilstm_forward([nd.Tensor(x)], params, config)
+        (h,) = bilstm_forward(nd.Tensor([x]), params, config).data
         fw = lstm_direction_loops([x.tolist()], gate_weights(params, "lstm_fw"), 4)
         bw = lstm_direction_loops([x.tolist()], gate_weights(params, "lstm_bw"), 4)
-        np.testing.assert_allclose(h.data, fw[0] + bw[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h, fw[0] + bw[0], rtol=0, atol=1e-12)
 
     def test_length_three_matches_scalar_loop_oracle(self):
         config = tiny_config("M1")
         params = init_parameters(config, vocab_size=9, seed=2)
         rng = np.random.default_rng(3)
         xs = [rng.normal(size=5) for _ in range(3)]
-        states = bilstm_forward([nd.Tensor(x) for x in xs], params, config)
+        states = bilstm_forward(nd.Tensor(np.stack(xs)), params, config)
         fw = lstm_direction_loops([x.tolist() for x in xs], gate_weights(params, "lstm_fw"), 4)
         bw = lstm_direction_loops(
             [x.tolist() for x in reversed(xs)], gate_weights(params, "lstm_bw"), 4
         )
         bw.reverse()
         for t in range(3):
-            diff = np.abs(states[t].data - np.array(fw[t] + bw[t])).max()
+            diff = np.abs(states.data[t] - np.array(fw[t] + bw[t])).max()
             assert diff < 1e-12
 
     def test_empty_sequence_rejected(self):
         config = tiny_config("M1")
         params = init_parameters(config, vocab_size=3)
         with pytest.raises(ValueError, match="non-empty"):
-            bilstm_forward([], params, config)
+            bilstm_forward(nd.Tensor(np.zeros((0, 5))), params, config)
 
     def test_train_mode_requires_rng(self):
         config = tiny_config("M1", dropout=0.5)
         params = init_parameters(config, vocab_size=3)
         with pytest.raises(ValueError, match="dropout_rng"):
-            bilstm_forward([nd.Tensor(np.zeros(5))], params, config, train_mode=True)
+            bilstm_forward(nd.Tensor(np.zeros((1, 5))), params, config, train_mode=True)
 
 
 def attention_params(task=TASK_SENTIMENT):
@@ -181,23 +185,32 @@ def attention_params(task=TASK_SENTIMENT):
     }
 
 
+def attend_one(h, candidates, params, task=TASK_SENTIMENT):
+    """primary_attention on a length-1 sequence whose token has the given
+    candidate rows, all unmasked."""
+    keys = np.asarray(candidates, dtype=np.float64).reshape(-1, 5)
+    return primary_attention(
+        nd.Tensor([h]), nd.Tensor(keys), np.ones((1, len(keys)), bool), params, task
+    )
+
+
 class TestPrimaryAttention:
     def test_single_candidate_gets_full_weight(self):
         params = attention_params()
-        h = nd.Tensor(np.arange(8.0))
-        v = nd.Tensor([1.0, 2.0, 3.0, 4.0, 5.0])
-        alpha, hhat = primary_attention(h, [v], params, TASK_SENTIMENT)
-        np.testing.assert_array_equal(alpha, [1.0])
-        np.testing.assert_array_equal(hhat.data[:5], v.data)
-        np.testing.assert_array_equal(hhat.data[5:], h.data)
+        h = np.arange(8.0)
+        v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        alpha, hhat = attend_one(h, [v], params)
+        np.testing.assert_array_equal(alpha[0], [1.0])
+        np.testing.assert_array_equal(hhat.data[0, :5], v)
+        np.testing.assert_array_equal(hhat.data[0, 5:], h)
 
     def test_equal_candidates_split_evenly(self):
         params = attention_params()
-        h = nd.Tensor(np.arange(8.0))
-        v = nd.Tensor([1.0, -1.0, 0.5, 2.0, 0.0])
-        alpha, hhat = primary_attention(h, [v, v], params, TASK_SENTIMENT)
-        np.testing.assert_array_equal(alpha, [0.5, 0.5])
-        np.testing.assert_array_equal(hhat.data[:5], v.data)
+        h = np.arange(8.0)
+        v = np.array([1.0, -1.0, 0.5, 2.0, 0.0])
+        alpha, hhat = attend_one(h, [v, v], params)
+        np.testing.assert_array_equal(alpha[0], [0.5, 0.5])
+        np.testing.assert_array_equal(hhat.data[0, :5], v)
 
     def test_three_candidates_match_direct_formula(self):
         params = attention_params()
@@ -205,26 +218,28 @@ class TestPrimaryAttention:
         cands = np.array(
             [[1.0, 0, 1, 0, 1], [0, 1, 0, 1, 0], [1, 1, -1, -1, 0]]
         )
-        alpha, hhat = primary_attention(
-            nd.Tensor(h), nd.Tensor(cands), params, TASK_SENTIMENT
-        )
+        alpha, hhat = attend_one(h, cands, params)
         exp_alpha, exp_mix = primary_attention_loops(
             h.tolist(),
             params["sentiment/W_w"].data.tolist(),
             params["sentiment/b_w"].data.tolist(),
             cands.tolist(),
         )
-        assert np.abs(alpha - exp_alpha).max() < 1e-12
-        assert np.abs(hhat.data[:5] - exp_mix).max() < 1e-12
+        assert np.abs(alpha[0] - exp_alpha).max() < 1e-12
+        assert np.abs(hhat.data[0, :5] - exp_mix).max() < 1e-12
 
     def test_empty_candidate_set_mixes_zero(self):
         params = attention_params()
-        h = nd.Tensor(np.arange(8.0))
-        for empty in (None, []):
-            alpha, hhat = primary_attention(h, empty, params, TASK_SENTIMENT)
-            assert alpha.shape == (0,)
-            np.testing.assert_array_equal(hhat.data[:5], np.zeros(5))
-            np.testing.assert_array_equal(hhat.data[5:], h.data)
+        h = nd.Tensor([np.arange(8.0)])
+        # No key slots at all, or only masked-out padding slots.
+        for width in (0, 2):
+            alpha, hhat = primary_attention(
+                h, nd.Tensor(np.ones((width, 5))), np.zeros((1, width), bool),
+                params, TASK_SENTIMENT,
+            )
+            np.testing.assert_array_equal(alpha, np.zeros((1, width)))
+            np.testing.assert_array_equal(hhat.data[0, :5], np.zeros(5))
+            np.testing.assert_array_equal(hhat.data[0, 5:], h.data[0])
 
 
 def sentence_params(task=TASK_SENTIMENT, dim=6):
@@ -239,24 +254,24 @@ def sentence_params(task=TASK_SENTIMENT, dim=6):
 class TestSecondaryAttention:
     def test_length_one_passes_through(self):
         params = sentence_params()
-        hh = nd.Tensor(np.arange(6.0))
-        alpha, pooled = secondary_attention([hh], params, TASK_SENTIMENT)
+        hh = np.arange(6.0)
+        alpha, pooled = secondary_attention(nd.Tensor([hh]), params, TASK_SENTIMENT)
         np.testing.assert_array_equal(alpha, [1.0])
-        np.testing.assert_array_equal(pooled.data, hh.data)
+        np.testing.assert_array_equal(pooled.data, hh)
 
     def test_identical_steps_split_evenly(self):
         params = sentence_params()
-        hh = nd.Tensor([1.0, -2.0, 0.0, 3.0, 1.0, 1.0])
-        alpha, pooled = secondary_attention([hh, hh], params, TASK_SENTIMENT)
+        hh = np.array([1.0, -2.0, 0.0, 3.0, 1.0, 1.0])
+        alpha, pooled = secondary_attention(nd.Tensor([hh, hh]), params, TASK_SENTIMENT)
         np.testing.assert_array_equal(alpha, [0.5, 0.5])
-        np.testing.assert_array_equal(pooled.data, hh.data)
+        np.testing.assert_array_equal(pooled.data, hh)
 
     def test_length_three_matches_direct_formula(self):
         params = sentence_params()
         rng = np.random.default_rng(10)
         vectors = [rng.normal(size=6) for _ in range(3)]
         alpha, pooled = secondary_attention(
-            [nd.Tensor(v) for v in vectors], params, TASK_SENTIMENT
+            nd.Tensor(np.stack(vectors)), params, TASK_SENTIMENT
         )
         exp_alpha, exp_pooled = secondary_attention_loops(
             [v.tolist() for v in vectors],
@@ -270,18 +285,18 @@ class TestSecondaryAttention:
     def test_consistent_permutation_preserves_output(self):
         params = sentence_params()
         rng = np.random.default_rng(11)
-        vectors = [nd.Tensor(rng.normal(size=6)) for _ in range(4)]
+        vectors = np.stack([rng.normal(size=6) for _ in range(4)])
         perm = [2, 0, 3, 1]
-        alpha, pooled = secondary_attention(vectors, params, TASK_SENTIMENT)
+        alpha, pooled = secondary_attention(nd.Tensor(vectors), params, TASK_SENTIMENT)
         alpha_p, pooled_p = secondary_attention(
-            [vectors[i] for i in perm], params, TASK_SENTIMENT
+            nd.Tensor(vectors[perm]), params, TASK_SENTIMENT
         )
         np.testing.assert_allclose(alpha_p, alpha[perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(pooled_p.data, pooled.data, rtol=0, atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            secondary_attention([], sentence_params(), TASK_SENTIMENT)
+            secondary_attention(nd.Tensor(np.zeros((0, 6))), sentence_params(), TASK_SENTIMENT)
 
 
 class TestTaskHeads:
@@ -318,8 +333,7 @@ class TestForward:
         trace = forward(tiny_example(), params, config)
         assert set(trace.logits) == {TASK_SENTIMENT}
         assert trace.logits[TASK_SENTIMENT].shape == (2,)
-        for t, hh in enumerate(trace.hhat[TASK_SENTIMENT]):
-            assert hh is trace.h[t]
+        assert trace.hhat[TASK_SENTIMENT] is trace.h
         assert trace.sentence_vector[TASK_SENTIMENT].shape == (8,)
 
     def test_joint_mode_has_both_branches_with_own_attention(self):
@@ -377,7 +391,7 @@ class TestForward:
             base.sentence_vector[TASK_EMOTION].data,
         )
         for t in range(3):
-            np.testing.assert_array_equal(t2.h[t].data, base.h[t].data)
+            np.testing.assert_array_equal(t2.h.data[t], base.h.data[t])
 
     def test_token_order_matters_to_encoder(self):
         config = tiny_config("M1")
@@ -397,10 +411,7 @@ class TestForward:
         params = init_parameters(config, vocab_size=9, seed=9)
         ex = tiny_example()
         trace = forward(ex, params, config)
-        embeds = [
-            nd.reshape(nd.take_rows(params["embedding"], [tid]), (5,))
-            for tid in ex.token_ids
-        ]
+        embeds = nd.take_rows(params["embedding"], ex.token_ids)
         h = bilstm_forward(embeds, params, config)
         for task in config.tasks:
             _, pooled = secondary_attention(h, params, task)
@@ -431,6 +442,94 @@ class TestForward:
         assert not np.array_equal(
             runs[0].logits[TASK_EMOTION].data, eval_trace.logits[TASK_EMOTION].data
         )
+
+
+def forward_loops(example, params, config):
+    """The eval-mode forward pass composed position by position from the
+    loop oracles: word weights per task, sentence weights and logits."""
+    weights = {name: params[name].data.tolist() for name in params}
+    rows = [weights["embedding"][tid] for tid in example.token_ids]
+    fw = lstm_direction_loops(rows, gate_weights(params, "lstm_fw"), config.lstm_hidden)
+    bw = lstm_direction_loops(rows[::-1], gate_weights(params, "lstm_bw"), config.lstm_hidden)
+    states = [f + b for f, b in zip(fw, bw[::-1])]
+    out = {}
+    for task in config.tasks:
+        word_alpha, hhats = [], states
+        if config.primary_attention_enabled:
+            hhats = []
+            for h, ids in zip(states, example.candidate_ids):
+                alpha, mix = [], [0.0] * config.embed_dim
+                if ids:
+                    alpha, mix = primary_attention_loops(
+                        h, weights[f"{task}/W_w"], weights[f"{task}/b_w"],
+                        [weights["embedding"][i] for i in ids],
+                    )
+                word_alpha.append(alpha)
+                hhats.append(mix + h)
+        sentence_alpha, pooled = secondary_attention_loops(
+            hhats, weights[f"{task}/W_s"], weights[f"{task}/b_s"], weights[f"{task}/u"]
+        )
+        logits = affine_loops(pooled, weights[f"{task}/V"], weights[f"{task}/c"])
+        out[task] = (word_alpha, sentence_alpha, logits)
+    return out
+
+
+class TestSequenceForwardOracle:
+    """The whole-sequence forward pass equals the per-position loop oracles."""
+
+    @given(
+        mode=st.sampled_from(MODES),
+        tokens=st.lists(
+            st.tuples(st.integers(0, 8), st.lists(st.integers(0, 8), max_size=3)),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(mode="M2", tokens=[(1, []), (4, []), (7, [])], seed=0)
+    @example(mode="E2", tokens=[(3, [])], seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_position_oracles(self, mode, tokens, seed):
+        config = tiny_config(mode)
+        params = init_parameters(config, vocab_size=9, seed=seed)
+        ex = EncodedExample(
+            "p", [t for t, _ in tokens], [c for _, c in tokens], "positive", np.zeros(8)
+        )
+        trace = forward(ex, params, config)
+        expected = forward_loops(ex, params, config)
+        for task, (word_alpha, sentence_alpha, logits) in expected.items():
+            if config.primary_attention_enabled:
+                assert len(trace.primary_alpha[task]) == len(word_alpha)
+                for got, want in zip(trace.primary_alpha[task], word_alpha):
+                    assert got.shape == (len(want),)
+                    if want:
+                        assert np.abs(got - want).max() < 1e-12
+            else:
+                assert task not in trace.primary_alpha
+            assert np.abs(trace.sentence_alpha[task] - sentence_alpha).max() < 1e-12
+            assert np.abs(trace.logits[task].data - logits).max() < 1e-12
+
+    def test_tape_entries_do_not_grow_with_length(self):
+        config = tiny_config("M2", dropout=0.6)
+        params = init_parameters(config, vocab_size=9, seed=13)
+        counts = []
+        for n in (20, 40):
+            rng = np.random.default_rng(n)
+            ex = EncodedExample(
+                "long",
+                rng.integers(0, 9, size=n).tolist(),
+                [rng.integers(0, 9, size=rng.integers(0, 3)).tolist() for _ in range(n)],
+                "positive",
+                np.zeros(8),
+            )
+            with nd.Tape() as tape:
+                trace = forward(
+                    ex, params, config, train_mode=True, dropout_rng=np.random.default_rng(0)
+                )
+                joint_loss(trace, ex, config)
+            counts.append(len(tape))
+        assert counts[0] <= 40
+        assert counts[1] == counts[0]
 
 
 def model_loss_fn(example, config, fixed):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from emosent import nd
 
-from oracles import matmul_loops, sigmoid_xent_highprec
+from oracles import matmul_loops, sigmoid_xent_highprec, softmax_list
 
 finite_vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=12
@@ -69,6 +69,49 @@ class TestLstm:
     def test_mismatched_operands_rejected(self, xs, W, U, b):
         with pytest.raises(nd.ShapeError, match="lstm"):
             nd.lstm(*(nd.Tensor(np.ones(s)) for s in (xs, W, U, b)))
+
+
+class TestAttend:
+    def test_rows_match_softmax_over_their_own_keys(self):
+        rng = np.random.default_rng(5)
+        q = rng.normal(size=(2, 3))
+        k = rng.normal(size=(6, 3))
+        mask = np.array([[True, True, False], [True, False, True]])
+        mix, weights = nd.attend(nd.Tensor(q), nd.Tensor(k), mask)
+        for t in range(2):
+            keys = k[3 * t : 3 * t + 3][mask[t]]
+            alpha = softmax_list((keys @ q[t]).tolist())
+            np.testing.assert_allclose(weights[t][mask[t]], alpha, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(weights[t][~mask[t]], 0.0)
+            np.testing.assert_allclose(mix.data[t], np.dot(alpha, keys), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("width", [0, 2])
+    def test_row_without_keys_mixes_zeros(self, width):
+        mix, weights = nd.attend(
+            nd.Tensor(np.ones((1, 3))), nd.Tensor(np.ones((width, 3))), np.zeros((1, width), bool)
+        )
+        np.testing.assert_array_equal(mix.data, np.zeros((1, 3)))
+        np.testing.assert_array_equal(weights, np.zeros((1, width)))
+
+    @pytest.mark.parametrize(
+        "queries,keys,mask",
+        [((2, 3), (4, 3), (2, 3)), ((2, 3), (4, 2), (2, 2)), ((3,), (2, 3), (1, 2))],
+    )
+    def test_mismatched_operands_rejected(self, queries, keys, mask):
+        with pytest.raises(nd.ShapeError, match="attend"):
+            nd.attend(nd.Tensor(np.ones(queries)), nd.Tensor(np.ones(keys)), np.ones(mask, bool))
+
+
+class TestAffineConcatShapes:
+    @pytest.mark.parametrize("x,W,b", [((4,), (3, 2), (2,)), ((2, 3), (3, 2), (3,))])
+    def test_affine_mismatch_rejected(self, x, W, b):
+        with pytest.raises(nd.ShapeError, match="affine"):
+            nd.affine(*(nd.Tensor(np.ones(s)) for s in (x, W, b)))
+
+    @pytest.mark.parametrize("shapes", [[], [(2, 3), (3, 3)], [(2,), (2, 2)]])
+    def test_concat_mismatch_rejected(self, shapes):
+        with pytest.raises(nd.ShapeError, match="concat"):
+            nd.concat([nd.Tensor(np.ones(s)) for s in shapes])
 
 
 class TestSoftmax:

@@ -53,6 +53,12 @@ class TestLoadEmbeddings:
         with pytest.raises(ResourceFormatError, match="line 1"):
             load_embeddings(f, 3)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_names_file_line_and_word(self, tmp_path, value):
+        f = write(tmp_path / "e.txt", f"alpha 1 2 3\nbeta 4 {value} 6\n")
+        with pytest.raises(ResourceFormatError, match=r"e\.txt: line 2: .*'beta'"):
+            load_embeddings(f, 3)
+
     def test_empty_file_rejected(self, tmp_path):
         f = write(tmp_path / "e.txt", "")
         with pytest.raises(ResourceFormatError, match="no embedding"):

@@ -172,6 +172,27 @@ class TestTrain:
         )
         assert len(log) == 3
 
+    def test_nan_weight_stops_at_first_batch(self, bundle):
+        config = small_config("M2")
+        params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=10)
+        poisoned = params["emotion/V"].data.copy()
+        poisoned[0, 0] = np.nan
+        params["emotion/V"] = nd.Tensor(poisoned, requires_grad=True)
+        with pytest.raises(ValueError, match="non-finite loss .* in epoch 1, batch 1"):
+            train(bundle.train_examples, params, quick_train_config(), config)
+
+    def test_non_finite_gradient_stops_before_the_step(self, bundle, monkeypatch):
+        config = small_config("E1")
+        params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=11)
+        gradients = nd.Tape.gradients
+
+        def overflowing(tape, loss, wrt):
+            return [np.full_like(g, np.inf) for g in gradients(tape, loss, wrt)]
+
+        monkeypatch.setattr(nd.Tape, "gradients", overflowing)
+        with pytest.raises(ValueError, match="non-finite gradient of .* in epoch 1, batch 1"):
+            train(bundle.train_examples, params, quick_train_config(), config)
+
     def test_sentiment_only_mode_rejects_corpus_of_others(self, bundle):
         config = small_config("S1")
         params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=9)
