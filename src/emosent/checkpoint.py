@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .model import ModelConfig, parameter_shapes
 from .nd import Tensor
 from .preprocess import SegmentationLexicon
@@ -68,12 +69,8 @@ def save_checkpoint(
         "meta": dict(sorted((meta or {}).items())),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(blob).to_bytes(8, "big"))
-        fh.write(blob)
-        for name in names:
-            fh.write(np.ascontiguousarray(params[name].data, dtype="<f8").tobytes())
+    payload = [np.ascontiguousarray(params[n].data, dtype="<f8").tobytes() for n in names]
+    write_atomic(path, b"".join([MAGIC, len(blob).to_bytes(8, "big"), blob, *payload]))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, require_files
 from .model import MODES, ModelConfig, forward, init_parameters
@@ -89,7 +90,7 @@ def cmd_preprocess(args) -> int:
     lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     rendered = "".join(join(normalize(line, lexicon)) + "\n" for line in lines)
     target = out_dir / "preprocessed.txt"
-    target.write_text(rendered, encoding="utf-8")
+    write_atomic(target, rendered)
     print(f"wrote {target} ({len(lines)} lines)")
     return 0
 
@@ -105,7 +106,7 @@ def cmd_build_vocab(args) -> int:
     vocab = build_vocab(corpus, embeddings, thesaurus, cfg.dt_k)
     out_dir = _ensure_out_dir(cfg)
     target = out_dir / "vocab.txt"
-    target.write_text("".join(w + "\n" for w in vocab.words), encoding="utf-8")
+    write_atomic(target, "".join(w + "\n" for w in vocab.words))
     print(f"wrote {target} ({len(vocab.words)} words)")
     return 0
 
@@ -158,9 +159,9 @@ def cmd_train(args) -> int:
         },
     )
     write_report(report, out_dir / "metrics.txt", out_dir / "table.txt")
-    (out_dir / "train_log.txt").write_text(
+    write_atomic(
+        out_dir / "train_log.txt",
         "".join(f"{epoch}\t{loss!r}\n" for epoch, loss in enumerate(log, start=1)),
-        encoding="utf-8",
     )
     print(f"trained {model_cfg.mode} for {len(log)} epochs, final loss {log[-1]:.6f}")
     print(f"wrote {out_dir / 'checkpoint.bin'}")
@@ -211,14 +212,14 @@ def cmd_predict(args) -> int:
     threshold = float(ckpt.meta.get("threshold", 0.5))
     print(f"tokens: {join(tokens)}")
     if "sentiment" in trace.probabilities:
-        probs = trace.probabilities["sentiment"]
-        print(f"sentiment: {SENTIMENTS[trace.predictions['sentiment']]}")
+        probs = trace.probabilities["sentiment"][0]
+        print(f"sentiment: {SENTIMENTS[trace.predictions['sentiment'][0]]}")
         print(
             "sentiment probabilities: "
             + " ".join(f"{n}={p:.6f}" for n, p in zip(SENTIMENTS, probs))
         )
     if "emotion" in trace.probabilities:
-        probs = trace.probabilities["emotion"]
+        probs = trace.probabilities["emotion"][0]
         active = [n for n, p in zip(EMOTIONS, probs) if p >= threshold]
         print(f"emotions: {' '.join(active)}")
         print(

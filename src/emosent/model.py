@@ -7,8 +7,11 @@ one affine sigmoid head. Modes S*/E* run one task, M* run both off the
 same encoder states. The pooled width is embed_dim + 2*lstm_hidden with
 word attention on, 2*lstm_hidden with it off.
 
-Each layer runs on the whole tweet as a few ops on [T, ·] matrices, so the
-tape entries of a pass do not grow with T. Each LSTM direction holds three
+A pass runs on a batch of tweets packed back to back: the N tokens of its
+B examples are the rows of [N, ·] matrices, so each row-wise layer is a few
+ops whatever the batch, and only the recurrence and the sentence-attention
+pooling read the per-example lengths. The tape entries of a pass grow with
+neither N nor B. Each LSTM direction holds three
 tensors, lstm_{fw,bw}/W [embed_dim, 4H], U [H, 4H] and b [4H] with
 H = lstm_hidden, whose gates (i, f, g, o) are consecutive H-column blocks.
 
@@ -24,6 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import nd
+from .resources import EncodedExample
 from .rng import stage_rng, truncated_normal
 
 MODES = ("S1", "S2", "E1", "E2", "M1", "M2")
@@ -138,14 +142,21 @@ def trainable_names(params: Mapping[str, nd.Tensor]) -> list[str]:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass, for inspection and tests.
+    """Every intermediate of one forward pass over a batch, for inspection
+    and tests.
 
-    `h` holds the BiLSTM states [T, 2H] and `hhat[task]` the rows that
-    sentence attention pools, [T, pooled_dim] (`h` itself with word
-    attention off). `primary_alpha[task]` lists each position's
-    word-attention weights, trimmed to its candidate count (empty for a
-    token without candidates), and `sentence_alpha[task]` holds the T
-    sentence-attention weights.
+    Per-token fields are packed: the N tokens of the batch's B examples sit
+    back to back, example by example. `h` holds the BiLSTM states [N, 2H]
+    and `hhat[task]` the rows that sentence attention pools, [N, pooled_dim]
+    (`h` itself with word attention off). `primary_alpha[task]` lists each
+    token's word-attention weights, trimmed to its candidate count (empty
+    for a token without candidates), and `sentence_alpha[task]` holds the N
+    sentence-attention weights, each example's summing to 1. Per-example
+    fields have one row per example: `sentence_vector[task]` [B, pooled_dim],
+    `logits[task]` and `probabilities[task]` [B, units], and
+    `predictions[task]`, [B] sentiment indices or [B, 8] emotion decisions.
+    `losses` holds the per-example joint losses [B] once `train.joint_loss`
+    has run on the trace.
     """
 
     mode: str
@@ -156,45 +167,67 @@ class ForwardTrace:
     sentence_vector: dict[str, nd.Tensor] = field(default_factory=dict)
     logits: dict[str, nd.Tensor] = field(default_factory=dict)
     probabilities: dict[str, np.ndarray] = field(default_factory=dict)
-    predictions: dict[str, object] = field(default_factory=dict)
+    predictions: dict[str, np.ndarray] = field(default_factory=dict)
+    losses: np.ndarray | None = None
 
 
-def _dropout(x: nd.Tensor, config: ModelConfig, train_mode: bool, rng) -> nd.Tensor:
-    """Inverted dropout on every entry of `x` in train mode, else `x`."""
+def as_batch(examples) -> list[EncodedExample]:
+    """A list of encoded examples; a lone example is a batch of one."""
+    return [examples] if isinstance(examples, EncodedExample) else list(examples)
+
+
+def _dropout_masks(lengths, config: ModelConfig, train_mode: bool, rng):
+    """Inverted-dropout masks for the states [N, 2H] and, per task, the
+    pooled vectors [B, pooled_dim]; (None, {}) outside train mode.
+
+    Each example draws its state mask and then one pooled mask per task, in
+    that order, so a batch consumes the stream as its examples would one by
+    one.
+    """
     if not train_mode or config.dropout_rate == 0.0:
-        return x
+        return None, {}
     if rng is None:
         raise ValueError("train-mode forward needs dropout_rng when dropout_rate > 0")
-    return nd.mul(x, nd.dropout_mask(x.shape, config.dropout_rate, rng))
+    state_rows: list[np.ndarray] = []
+    pooled_rows: dict[str, list[np.ndarray]] = {task: [] for task in config.tasks}
+    for n in lengths:
+        state_rows.append(nd.dropout_mask((n, config.encoder_dim), config.dropout_rate, rng).data)
+        for task in config.tasks:
+            pooled_rows[task].append(
+                nd.dropout_mask(config.pooled_dim, config.dropout_rate, rng).data
+            )
+    pooled = {task: nd.Tensor(np.stack(rows)) for task, rows in pooled_rows.items()}
+    return nd.Tensor(np.concatenate(state_rows)), pooled
 
 
 def bilstm_forward(
     xs: nd.Tensor,
     params: Mapping[str, nd.Tensor],
     config: ModelConfig,
-    train_mode: bool = False,
-    dropout_rng=None,
+    lengths=None,
+    dropout: nd.Tensor | None = None,
 ) -> nd.Tensor:
-    """States [T, 2H] for the embeddings `xs` [T, embed_dim]; row t is
-    concat(forward_t, backward_t), with dropout in train mode."""
+    """States [N, 2H] for the embeddings `xs` [N, embed_dim] of sequences
+    packed back to back with the given `lengths` (default: one sequence).
+    Row t is concat(forward_t, backward_t), each direction reading only its
+    own sequence, times the `dropout` mask [N, 2H] when one is given."""
     if xs.shape[0] == 0:
         raise ValueError("bilstm_forward needs a non-empty sequence")
-    reverse = range(xs.shape[0] - 1, -1, -1)
-    fw = nd.lstm(xs, params["lstm_fw/W"], params["lstm_fw/U"], params["lstm_fw/b"])
+    fw = nd.lstm(xs, params["lstm_fw/W"], params["lstm_fw/U"], params["lstm_fw/b"], lengths)
     bw = nd.lstm(
-        nd.take_rows(xs, reverse), params["lstm_bw/W"], params["lstm_bw/U"], params["lstm_bw/b"]
+        xs, params["lstm_bw/W"], params["lstm_bw/U"], params["lstm_bw/b"], lengths, reverse=True
     )
-    states = nd.concat([fw, nd.take_rows(bw, reverse)])
-    return _dropout(states, config, train_mode, dropout_rng)
+    states = nd.concat([fw, bw])
+    return states if dropout is None else nd.mul(states, dropout)
 
 
 def primary_attention(
     h: nd.Tensor, keys: nd.Tensor, mask: np.ndarray, params: Mapping[str, nd.Tensor], task: str
 ) -> tuple[np.ndarray, nd.Tensor]:
-    """Word attention: row t of `h` [T, 2H] attends over its candidate
-    embeddings, rows t*K .. t*K+K-1 of `keys` [T*K, embed_dim] where
-    `mask` [T, K] is set; a row without candidates mixes in zeros.
-    Returns the weights [T, K] and hhat = concat(mix, h) [T, pooled_dim].
+    """Word attention: row t of `h` [N, 2H] attends over its candidate
+    embeddings, rows t*K .. t*K+K-1 of `keys` [N*K, embed_dim] where
+    `mask` [N, K] is set; a row without candidates mixes in zeros.
+    Returns the weights [N, K] and hhat = concat(mix, h) [N, pooled_dim].
     """
     query = nd.affine(h, params[f"{task}/W_w"], params[f"{task}/b_w"])
     mix, alpha = nd.attend(query, keys, mask)
@@ -202,13 +235,16 @@ def primary_attention(
 
 
 def secondary_attention(
-    hhat: nd.Tensor, params: Mapping[str, nd.Tensor], task: str
+    hhat: nd.Tensor, params: Mapping[str, nd.Tensor], task: str, lengths=None
 ) -> tuple[np.ndarray, nd.Tensor]:
-    """Sentence attention: score each row of `hhat` [T, P > 0] with the task
-    context vector, normalize, and return the weights with the pooled vector."""
+    """Sentence attention: score each row of `hhat` [N, P] with the task
+    context vector, normalize the scores within each sequence of the given
+    `lengths` (default: one non-empty sequence), and return the weights [N]
+    with the pooled vectors [B, P]."""
     W_s, b_s, u = (params[f"{task}/{n}"] for n in ("W_s", "b_s", "u"))
-    alpha = nd.softmax(nd.matmul(nd.tanh(nd.affine(hhat, W_s, b_s)), u))
-    return alpha.data, nd.matmul(alpha, hhat)
+    scores = nd.matmul(nd.tanh(nd.affine(hhat, W_s, b_s)), u)
+    pooled, alpha = nd.attention_pool(scores, hhat, lengths)
+    return alpha, pooled
 
 
 def task_heads(
@@ -221,9 +257,9 @@ def task_heads(
     }
 
 
-def predict_sentiment(probabilities: np.ndarray) -> int:
-    """0 = negative, 1 = positive."""
-    return int(np.argmax(probabilities))
+def predict_sentiment(probabilities: np.ndarray) -> np.ndarray:
+    """0 = negative, 1 = positive; one index per row of a matrix."""
+    return np.argmax(probabilities, axis=-1)
 
 
 def predict_emotions(probabilities: np.ndarray) -> np.ndarray:
@@ -232,35 +268,44 @@ def predict_emotions(probabilities: np.ndarray) -> np.ndarray:
 
 
 def forward(
-    example,
+    examples,
     params: Mapping[str, nd.Tensor],
     config: ModelConfig,
     train_mode: bool = False,
     dropout_rng=None,
 ) -> ForwardTrace:
-    """Run the network on one encoded example and record all intermediates."""
-    if not example.token_ids:
-        raise ValueError(f"example {example.id!r} has no tokens")
+    """Run the network on a batch of encoded examples (or one) and record
+    all intermediates."""
+    examples = as_batch(examples)
+    for ex in examples:
+        if not ex.token_ids:
+            raise ValueError(f"example {ex.id!r} has no tokens")
+    lengths = [len(ex.token_ids) for ex in examples]
+    state_mask, pooled_masks = _dropout_masks(lengths, config, train_mode, dropout_rng)
     embedding = params["embedding"]
-    xs = nd.take_rows(embedding, example.token_ids)
-    trace = ForwardTrace(config.mode, bilstm_forward(xs, params, config, train_mode, dropout_rng))
+    xs = nd.take_rows(embedding, [i for ex in examples for i in ex.token_ids])
+    trace = ForwardTrace(config.mode, bilstm_forward(xs, params, config, lengths, state_mask))
     if config.primary_attention_enabled:
         # Candidate lists are padded to the longest one; the stand-in row 0
         # is masked out, so it gets zero weight and zero gradient.
-        counts = [len(ids) for ids in example.candidate_ids]
+        candidates = [ids for ex in examples for ids in ex.candidate_ids]
+        counts = [len(ids) for ids in candidates]
         width = max(counts)
         mask = np.arange(width) < np.array(counts)[:, None]
-        padded = [list(ids) + [0] * (width - len(ids)) for ids in example.candidate_ids]
-        keys = nd.take_rows(embedding, [i for row in padded for i in row])
+        keys = nd.take_rows(
+            embedding, [i for ids in candidates for i in list(ids) + [0] * (width - len(ids))]
+        )
     for task in config.tasks:
         hhat = trace.h
         if config.primary_attention_enabled:
             alpha, hhat = primary_attention(trace.h, keys, mask, params, task)
             trace.primary_alpha[task] = [row[:n] for row, n in zip(alpha, counts)]
         trace.hhat[task] = hhat
-        alpha, pooled = secondary_attention(hhat, params, task)
+        alpha, pooled = secondary_attention(hhat, params, task, lengths)
         trace.sentence_alpha[task] = alpha
-        trace.sentence_vector[task] = _dropout(pooled, config, train_mode, dropout_rng)
+        if task in pooled_masks:
+            pooled = nd.mul(pooled, pooled_masks[task])
+        trace.sentence_vector[task] = pooled
     for task, logits in task_heads(trace.sentence_vector, params).items():
         trace.logits[task] = logits
         probs = nd.sigmoid_values(logits.data)

@@ -2,9 +2,10 @@
 
 Everything here is deliberately small: 1-D and 2-D arrays, the handful of
 primitives the sequence model needs (among them fused ops for an affine
-layer, masked attention and an LSTM direction, each one tape entry for a
-whole sequence), and a tape that records ops in execution order (which is
-already a topological order) and replays them backwards.
+layer, masked attention, attention pooling and an LSTM direction, each one
+tape entry for a whole batch of sequences), and a tape that records ops
+in execution order (which is already a topological order) and replays
+them backwards.
 """
 from __future__ import annotations
 
@@ -284,8 +285,51 @@ def attend(queries: Tensor, keys: Tensor, mask) -> tuple[Tensor, np.ndarray]:
     return _record(out, (queries, keys), bwd), weights
 
 
+def _split_lengths(op: str, lengths, rows: int) -> np.ndarray:
+    """Checked lengths of the back-to-back sequences that make up `rows`
+    rows; None means one sequence of all of them."""
+    lengths = np.asarray([rows] if lengths is None else lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != rows:
+        raise ShapeError(f"{op}: lengths {lengths.tolist()} do not split {rows} rows "
+                         "into non-empty sequences")
+    return lengths
+
+
+def attention_pool(scores: Tensor, values: Tensor, lengths=None) -> tuple[Tensor, np.ndarray]:
+    """Softmax-weighted sum of each segment of rows.
+
+    `lengths` splits the rows of `scores` [N] and `values` [N, P] into
+    back-to-back segments (default: one segment of all N). Each segment's
+    scores are normalized with a max-subtracted softmax and its rows of
+    `values` are mixed with those weights. Returns the pooled rows [B, P]
+    as one tape entry and the weights [N] as a plain array.
+    """
+    if scores.data.ndim != 1 or values.data.ndim != 2 or values.shape[0] != scores.size:
+        raise ShapeError(
+            "attention_pool: need scores [N] and values [N, P], got "
+            f"{scores.shape}, {values.shape}"
+        )
+    lengths = _split_lengths("attention_pool", lengths, scores.size)
+    starts = np.cumsum(lengths) - lengths
+    segment = np.repeat(np.arange(lengths.size), lengths)
+    s, v = scores.data, values.data
+    e = np.exp(s - np.maximum.reduceat(s, starts)[segment])
+    weights = e / np.add.reduceat(e, starts)[segment]
+    out = Tensor(np.add.reduceat(weights[:, None] * v, starts, axis=0))
+
+    def bwd(g):
+        g_rows = g[segment]
+        d_weights = np.einsum("np,np->n", v, g_rows)
+        centred = d_weights - np.add.reduceat(d_weights * weights, starts)[segment]
+        return weights * centred, weights[:, None] * g_rows
+
+    return _record(out, (scores, values), bwd), weights
+
+
 def sigmoid_xent(logits: Tensor, targets: Tensor) -> Tensor:
-    """Mean binary cross-entropy of sigmoid(logits) against 0/1 targets.
+    """Mean binary cross-entropy of sigmoid(logits) against 0/1 targets,
+    over the last axis: a scalar for a vector, one value per row [B] for a
+    matrix [B, units].
 
     Uses the fused log-sum-exp form, so saturated logits stay finite.
     """
@@ -295,11 +339,11 @@ def sigmoid_xent(logits: Tensor, targets: Tensor) -> Tensor:
         raise ValueError("sigmoid_xent: targets must be 0 or 1")
     z = logits.data
     per_unit = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    n = z.size
-    out = Tensor(per_unit.sum() / n)
+    n = z.shape[-1]
+    out = Tensor(per_unit.sum(axis=-1) / n)
 
     def bwd(g):
-        return g * (sigmoid_values(z) - t) / n, None
+        return np.expand_dims(g, -1) * (sigmoid_values(z) - t) / n, None
 
     return _record(out, (logits, targets), bwd)
 
@@ -345,14 +389,48 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
     return _record(out, (m,), bwd)
 
 
-def lstm(xs: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
-    """One LSTM direction over the rows of `xs` [T, in], from a zero state.
+def _sequence_layout(lengths, rows: int, reverse: bool):
+    """Time-major layout of back-to-back sequences with the given lengths.
 
+    Sequences are sorted by length, longest first (stably), so the ones still
+    running at step t are a prefix of those running at t - 1. The layout has
+    `batch` rows of zero initial state, then each step's running sequences.
+    Returns the packed row that each step row reads, the layout row of every
+    row's previous step (a state row is its own) and one (start, previous
+    start, count) per step.
+    """
+    lengths = _split_lengths("lstm", lengths, rows)
+    batch = lengths.size
+    order = np.argsort(-lengths, kind="stable")
+    lens = lengths[order]
+    first = (np.cumsum(lengths) - lengths)[order]
+    step = np.arange(lens[0])[:, None]
+    running = step < lens
+    read = first + (lens - 1 - step if reverse else step)
+    at = np.empty((lens[0] + 1, batch), dtype=np.intp)
+    at[0] = np.arange(batch)
+    at[1:][running] = batch + np.arange(rows)
+    counts = running.sum(axis=1)
+    starts = (batch + np.cumsum(counts) - counts).tolist()
+    blocks = list(zip(starts, [0] + starts[:-1], counts.tolist()))
+    return read[running], np.concatenate([at[0], at[:-1][running]]), blocks
+
+
+def lstm(
+    xs: Tensor, W: Tensor, U: Tensor, b: Tensor, lengths=None, reverse: bool = False
+) -> Tensor:
+    """LSTM over the rows of `xs` [N, in], one sequence or several back to back.
+
+    `lengths` splits the rows into sequences (default: one sequence of all
+    N), each run from a zero state, in reverse row order when `reverse` is
+    set; the output row of each input row is the state after reading it.
     The gates (i, f, g, o) are consecutive H-column blocks of W [in, 4H],
     U [H, 4H] and b [4H], the gate-stacked layout of Appleyard et al.
     (arXiv:1604.01946). The input projection is one GEMM hoisted out of the
-    recurrence, and backpropagation through time forms each weight gradient
-    as one GEMM over all steps. Returns the states [T, H] as one tape entry.
+    recurrence, step t runs one [n_t, H] x [H, 4H] GEMM over the n_t
+    sequences longer than t, and backpropagation through time forms each
+    weight gradient as one GEMM over all rows. Returns the states [N, H] as
+    one tape entry.
     """
     if (
         xs.data.ndim != 2
@@ -363,47 +441,66 @@ def lstm(xs: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
         or b.shape != (U.shape[1],)
     ):
         raise ShapeError(
-            "lstm: need xs [T>0, in], W [in, 4H], U [H, 4H], b [4H], got "
+            "lstm: need xs [N>0, in], W [in, 4H], U [H, 4H], b [4H], got "
             f"{xs.shape}, {W.shape}, {U.shape}, {b.shape}"
         )
-    x, w, u = xs.data, W.data, U.data
-    steps, hidden = x.shape[0], u.shape[0]
-    cand = slice(2 * hidden, 3 * hidden)
-    x_proj = x @ w + b.data
-    acts = np.empty((steps, 4 * hidden))
-    cells = np.empty((steps, hidden))
-    tanh_cells = np.empty((steps, hidden))
-    states = np.empty((steps, hidden))
-    h = c = np.zeros(hidden)
-    for t in range(steps):
-        z = x_proj[t] + h @ u
-        a = sigmoid_values(z)
-        a[cand] = np.tanh(z[cand])
-        i, f, g, o = np.split(a, 4)
-        c = f * c + i * g
-        tanh_cells[t] = np.tanh(c)
-        h = o * tanh_cells[t]
-        acts[t], cells[t], states[t] = a, c, h
-    out = Tensor(states)
+    rows, hidden = xs.shape[0], U.shape[0]
+    read, prev, blocks = _sequence_layout(lengths, rows, reverse)
+    batch = blocks[0][2]
+    w, u = W.data, U.data
+    # sigmoid(z) = 0.5 * tanh(z / 2) + 0.5, so one tanh over all four gate
+    # blocks of z * half, scaled by half and shifted, gives every activation.
+    half = np.full(4 * hidden, 0.5)
+    half[2 * hidden : 3 * hidden] = 1.0
+    shift = np.where(half == 0.5, 0.5, 0.0)
+    x = xs.data[read]
+    acts = np.zeros((batch + rows, 4 * hidden))
+    acts[batch:] = x @ w + b.data
+    cells = np.zeros((batch + rows, hidden))
+    tanh_cells = np.zeros_like(cells)
+    states = np.zeros_like(cells)
+    for start, before, n in blocks:
+        stop = start + n
+        a = acts[start:stop]
+        a += states[before : before + n] @ u
+        a *= half
+        np.tanh(a, out=a)
+        a *= half
+        a += shift
+        c = cells[start:stop]
+        np.multiply(a[:, hidden : 2 * hidden], cells[before : before + n], out=c)
+        c += a[:, :hidden] * a[:, 2 * hidden : 3 * hidden]
+        np.tanh(c, out=tanh_cells[start:stop])
+        np.multiply(a[:, 3 * hidden :], tanh_cells[start:stop], out=states[start:stop])
+    out = np.empty((rows, hidden))
+    out[read] = states[batch:]
+    out = Tensor(out)
 
-    def bwd(d_states):
-        prev_cells = np.vstack([np.zeros(hidden), cells[:-1]])
-        prev_states = np.vstack([np.zeros(hidden), states[:-1]])
-        # Derivative of each activation with respect to its pre-activation.
+    def bwd(d_out):
+        i, f, g, o = (acts[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        # A step's dz is [dc, dc, dc, dh] times these factors of its rows
+        # (product rule, then each activation's slope), formed for all rows.
         slopes = acts * (1.0 - acts)
-        slopes[:, cand] = 1.0 - acts[:, cand] ** 2
-        dz = np.empty_like(acts)
-        dh = np.zeros(hidden)
-        dc = np.zeros(hidden)
-        for t in reversed(range(steps)):
-            i, f, g, o = np.split(acts[t], 4)
-            dh = d_states[t] + dh
-            dc = dc + dh * o * (1.0 - tanh_cells[t] ** 2)
-            dz[t] = np.concatenate([dc * g, dc * prev_cells[t], dc * i, dh * tanh_cells[t]])
-            dz[t] *= slopes[t]
-            dc = dc * f
-            dh = u @ dz[t]
-        return dz @ w.T, x.T @ dz, prev_states.T @ dz, dz.sum(axis=0)
+        slopes[:, 2 * hidden : 3 * hidden] = 1.0 - g * g
+        factors = np.stack([g, cells[prev], i, tanh_cells], axis=1)
+        factors *= slopes.reshape(-1, 4, hidden)
+        state_to_cell = o * (1.0 - tanh_cells * tanh_cells)
+        dh = np.zeros_like(cells)
+        dh[batch:] = d_out[read]
+        dc = np.zeros_like(cells)
+        dz = np.zeros((batch + rows, 4, hidden))
+        for start, before, n in reversed(blocks):
+            stop = start + n
+            dh_t, dc_t = dh[start:stop], dc[start:stop]
+            dc_t += dh_t * state_to_cell[start:stop]
+            np.multiply(dc_t[:, None, :], factors[start:stop, :3], out=dz[start:stop, :3])
+            np.multiply(dh_t, factors[start:stop, 3], out=dz[start:stop, 3])
+            np.multiply(dc_t, f[start:stop], out=dc[before : before + n])
+            dh[before : before + n] += dz[start:stop].reshape(n, 4 * hidden) @ u.T
+        dz = dz[batch:].reshape(rows, 4 * hidden)
+        d_xs = np.empty_like(xs.data)
+        d_xs[read] = dz @ w.T
+        return d_xs, x.T @ dz, states[prev[batch:]].T @ dz, dz.sum(axis=0)
 
     return _record(out, (xs, W, U, b), bwd)
 

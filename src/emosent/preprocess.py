@@ -61,7 +61,8 @@ class SegmentationLexicon:
 
     @classmethod
     def from_file(cls, path) -> "SegmentationLexicon":
-        """Load `word<TAB>count` lines; blank lines are skipped."""
+        """Load `word<TAB>count` lines; blank lines are skipped and a negative
+        count is an error naming its line."""
         counts: dict[str, int] = {}
         text = Path(path).read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -77,6 +78,8 @@ class SegmentationLexicon:
                 raise ValueError(
                     f"{path}: line {lineno}: count {raw_count!r} is not an integer"
                 ) from None
+            if count < 0:
+                raise ValueError(f"{path}: line {lineno}: count {count} is negative")
             counts[word] = counts.get(word, 0) + count
         return cls(counts)
 

@@ -1,19 +1,20 @@
 """Seeded mini-batch training and corpus evaluation.
 
-Batches accumulate per-example gradients (the forward pass is unbatched),
-average them, and apply one Adam step. Examples labeled "other" carry no
+Each mini-batch runs as one forward and one backward pass over its
+examples packed back to back; the gradient of the mean per-example loss
+drives one Adam step. Examples labeled "other" carry no
 sentiment target: they are dropped entirely in sentiment-only modes and
 contribute only the emotion term in joint modes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import nd
+from .artifacts import write_atomic
 from .metrics import (
     MetricsReport,
     emotion_metrics,
@@ -26,6 +27,7 @@ from .model import (
     ModelConfig,
     TASK_EMOTION,
     TASK_SENTIMENT,
+    as_batch,
     forward,
     trainable_names,
 )
@@ -54,42 +56,34 @@ class TrainConfig:
             raise ValueError(f"patience must be at least 1 when set, got {self.patience}")
 
 
-def sentiment_target(label: str) -> nd.Tensor:
-    """One-hot over (negative, positive)."""
-    return nd.Tensor([1.0, 0.0] if label == SENTIMENTS[0] else [0.0, 1.0])
-
-
 def joint_loss(
     trace: ForwardTrace,
-    example: EncodedExample,
+    examples,
     config: ModelConfig,
     sentiment_weight: float = 1.0,
     emotion_weight: float = 1.0,
 ) -> nd.Tensor:
-    """Weighted sum of the active heads' sigmoid cross-entropies.
+    """Mean over the batch of each example's weighted sum of its active
+    heads' sigmoid cross-entropies; `examples` are the ones `trace` ran on
+    (a lone example is a batch of one).
 
-    An example with no applicable term (an "other" row in a sentiment-only
-    trace) yields a constant zero.
+    An "other" row carries no sentiment term, so in a sentiment-only trace
+    its loss is zero. The per-example losses [B] are left in `trace.losses`.
     """
+    examples = as_batch(examples)
     terms: list[nd.Tensor] = []
-    if TASK_SENTIMENT in trace.logits and example.sentiment != OTHER_SENTIMENT:
-        term = nd.sigmoid_xent(
-            trace.logits[TASK_SENTIMENT], sentiment_target(example.sentiment)
-        )
-        if sentiment_weight != 1.0:
-            term = nd.scale(term, sentiment_weight)
-        terms.append(term)
+    if TASK_SENTIMENT in trace.logits:
+        targets = [[1.0, 0.0] if ex.sentiment == SENTIMENTS[0] else [0.0, 1.0] for ex in examples]
+        weights = [0.0 if ex.sentiment == OTHER_SENTIMENT else sentiment_weight for ex in examples]
+        term = nd.sigmoid_xent(trace.logits[TASK_SENTIMENT], nd.Tensor(targets))
+        terms.append(nd.mul(term, nd.Tensor(weights)))
     if TASK_EMOTION in trace.logits:
-        term = nd.sigmoid_xent(trace.logits[TASK_EMOTION], nd.Tensor(example.emotions))
-        if emotion_weight != 1.0:
-            term = nd.scale(term, emotion_weight)
-        terms.append(term)
-    if not terms:
-        return nd.zeros(())
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = nd.add(loss, term)
-    return loss
+        targets = np.stack([ex.emotions for ex in examples])
+        term = nd.sigmoid_xent(trace.logits[TASK_EMOTION], nd.Tensor(targets))
+        terms.append(nd.scale(term, emotion_weight))
+    per_example = terms[0] if len(terms) == 1 else nd.add(*terms)
+    trace.losses = per_example.data
+    return nd.scale(nd.sum(per_example), 1.0 / len(examples))
 
 
 def _trainable_examples(
@@ -125,25 +119,22 @@ def train(
         for start in range(0, len(pool), train_cfg.batch_size):
             where = f"epoch {epoch}, batch {start // train_cfg.batch_size + 1}"
             batch = [pool[i] for i in order[start : start + train_cfg.batch_size]]
-            grad_sums = {name: np.zeros(params[name].shape) for name in names}
-            for ex in batch:
-                with nd.Tape() as tape:
-                    trace = forward(
-                        ex, params, model_cfg, train_mode=True, dropout_rng=dropout_rng
-                    )
-                    loss = joint_loss(
-                        trace,
-                        ex,
-                        model_cfg,
-                        train_cfg.sentiment_loss_weight,
-                        train_cfg.emotion_loss_weight,
-                    )
-                if not np.isfinite(loss.item()):
+            with nd.Tape() as tape:
+                trace = forward(
+                    batch, params, model_cfg, train_mode=True, dropout_rng=dropout_rng
+                )
+                loss = joint_loss(
+                    trace,
+                    batch,
+                    model_cfg,
+                    train_cfg.sentiment_loss_weight,
+                    train_cfg.emotion_loss_weight,
+                )
+            for ex, value in zip(batch, trace.losses.tolist()):
+                if not np.isfinite(value):
                     raise ValueError(f"non-finite loss on example {ex.id!r} in {where}")
-                epoch_total += loss.item()
-                for name, grad in zip(names, tape.gradients(loss, [params[n] for n in names])):
-                    grad_sums[name] += grad
-            grads = {name: g / len(batch) for name, g in grad_sums.items()}
+                epoch_total += value
+            grads = dict(zip(names, tape.gradients(loss, [params[n] for n in names])))
             for name, grad in grads.items():
                 if not np.isfinite(grad).all():
                     raise ValueError(f"non-finite gradient of {name!r} in {where}")
@@ -183,11 +174,11 @@ def evaluate(
         trace = forward(ex, params, model_cfg)
         if TASK_SENTIMENT in trace.logits and ex.sentiment in SENTIMENTS:
             sent_gold.append(SENTIMENTS.index(ex.sentiment))
-            sent_pred.append(trace.predictions[TASK_SENTIMENT])
+            sent_pred.append(int(trace.predictions[TASK_SENTIMENT][0]))
         if TASK_EMOTION in trace.logits:
             emo_gold.append(ex.emotions.astype(np.int64))
             emo_pred.append(
-                (trace.probabilities[TASK_EMOTION] >= threshold).astype(np.int64)
+                (trace.probabilities[TASK_EMOTION][0] >= threshold).astype(np.int64)
             )
     sentiment = (
         sentiment_metrics(sent_gold, sent_pred)
@@ -202,6 +193,6 @@ def evaluate(
 
 def write_report(report: MetricsReport, metrics_path, table_path=None) -> None:
     """Write the flat metrics file and, optionally, the human table."""
-    Path(metrics_path).write_text(render_metrics(report), encoding="utf-8")
+    write_atomic(metrics_path, render_metrics(report))
     if table_path is not None:
-        Path(table_path).write_text(render_table(report), encoding="utf-8")
+        write_atomic(table_path, render_table(report))

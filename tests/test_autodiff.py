@@ -151,6 +151,12 @@ class TestGradientRules:
             lambda p: nd.sigmoid_xent(p["z"], targets),
             {"z": nd.Tensor(RNG.normal(size=3), requires_grad=True)},
         )
+        # A matrix gives one loss per row.
+        rows = nd.Tensor([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        check_against_central_differences(
+            lambda p: weighted(nd.sigmoid_xent(p["z"], rows), nd.Tensor([0.7, -1.3])),
+            {"z": nd.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)},
+        )
 
     @pytest.mark.parametrize("x_shape", [(3,), (4, 3)])
     def test_affine(self, x_shape):
@@ -222,6 +228,53 @@ class TestGradientRules:
                 "b": nd.Tensor(RNG.normal(size=8), requires_grad=True),
             },
         )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_ragged_sequences(self, reverse):
+        # Three sequences back to back, one of length 1, in both directions.
+        lengths = [3, 1, 4]
+        probe = nd.Tensor(RNG.normal(size=8 * 2))
+        params = {
+            "xs": nd.Tensor(RNG.normal(size=(8, 3)), requires_grad=True),
+            "W": nd.Tensor(RNG.normal(size=(3, 8)), requires_grad=True),
+            "U": nd.Tensor(RNG.normal(size=(2, 8)), requires_grad=True),
+            "b": nd.Tensor(RNG.normal(size=8), requires_grad=True),
+        }
+
+        def lstm(p):
+            return nd.lstm(p["xs"], p["W"], p["U"], p["b"], lengths, reverse=reverse)
+
+        check_against_central_differences(lambda p: weighted(lstm(p), probe), params)
+        # A loss on one sequence's states reaches no row of the others.
+        only_last = np.zeros((8, 2))
+        only_last[4:] = RNG.normal(size=(4, 2))
+        with nd.Tape() as tape:
+            loss = weighted(lstm(params), nd.Tensor(only_last))
+        (grad_xs,) = tape.gradients(loss, [params["xs"]])
+        assert np.all(grad_xs[:4] == 0.0)
+        assert np.all(grad_xs[4:] != 0.0)
+
+    def test_attention_pool(self):
+        lengths = [2, 1, 3]
+        probe = nd.Tensor(RNG.normal(size=3 * 4))
+
+        def pool(p):
+            pooled, _ = nd.attention_pool(p["s"], p["v"], lengths)
+            return pooled
+
+        params = {
+            "s": nd.Tensor(RNG.normal(size=6), requires_grad=True),
+            "v": nd.Tensor(RNG.normal(size=(6, 4)), requires_grad=True),
+        }
+        check_against_central_differences(lambda p: weighted(pool(p), probe), params)
+        # A loss on the first segment's pooled row reaches none of the others.
+        only_first = np.zeros((3, 4))
+        only_first[0] = RNG.normal(size=4)
+        with nd.Tape() as tape:
+            loss = weighted(pool(params), nd.Tensor(only_first))
+        grad_s, grad_v = tape.gradients(loss, [params["s"], params["v"]])
+        assert np.all(grad_s[2:] == 0.0) and np.all(grad_v[2:] == 0.0)
+        assert np.all(grad_s[:2] != 0.0) and np.all(grad_v[:2] != 0.0)
 
     def test_one_layer_model_loss(self):
         x = nd.Tensor(RNG.normal(size=5))

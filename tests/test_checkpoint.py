@@ -211,3 +211,29 @@ class TestHeaderValidation:
         expected = rf"{len(words)}-word vocabulary: .*'embedding': '\({len(words) + 1}, 16\) not"
         with pytest.raises(CheckpointError, match=expected):
             load_checkpoint(path)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_earlier_files(self, saved, bundle, monkeypatch):
+        import emosent.artifacts
+        from emosent.train import evaluate, write_report
+
+        config, params, path = saved
+        metrics = path.with_name("metrics.txt")
+        write_report(evaluate(bundle.test_examples[:2], params, config), metrics)
+        before = {p: p.read_bytes() for p in (path, metrics)}
+
+        def disk_full(fd):
+            raise OSError("no space left on device")
+
+        # Each write fails after its bytes reached the temp file, before the rename.
+        monkeypatch.setattr(emosent.artifacts.os, "fsync", disk_full)
+        retrained = {
+            n: Tensor(p.data + 1.0, requires_grad=p.requires_grad) for n, p in params.items()
+        }
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, config, retrained, bundle.vocab)
+        with pytest.raises(OSError, match="no space"):
+            write_report(evaluate(bundle.test_examples, retrained, config), metrics)
+        assert {p: p.read_bytes() for p in (path, metrics)} == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["metrics.txt", "model.bin"]

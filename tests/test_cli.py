@@ -223,6 +223,17 @@ class TestPreprocessAndVocabCommands:
             "we have got <number> reasons\n"
         )
 
+    def test_negative_lexicon_count_is_usage_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("#BadDay\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("day\t50\nbad\t-30\n", encoding="utf-8")
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", lexicon=lexicon)
+        assert entrypoint(["preprocess", "--config", str(config), str(raw)]) == 2
+        err = capsys.readouterr().err
+        assert "lexicon:" in err and "line 2" in err
+        assert not (tmp_path / "out" / "preprocessed.txt").exists()
+
     def test_preprocess_missing_input(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.cfg", tmp_path / "out")
         assert entrypoint(["preprocess", "--config", str(config), str(tmp_path / "no.txt")]) == 2

@@ -172,9 +172,9 @@ class TestBiLSTM:
 
     def test_train_mode_requires_rng(self):
         config = tiny_config("M1", dropout=0.5)
-        params = init_parameters(config, vocab_size=3)
+        params = init_parameters(config, vocab_size=9)
         with pytest.raises(ValueError, match="dropout_rng"):
-            bilstm_forward(nd.Tensor(np.zeros((1, 5))), params, config, train_mode=True)
+            forward(tiny_example(1), params, config, train_mode=True)
 
 
 def attention_params(task=TASK_SENTIMENT):
@@ -257,14 +257,14 @@ class TestSecondaryAttention:
         hh = np.arange(6.0)
         alpha, pooled = secondary_attention(nd.Tensor([hh]), params, TASK_SENTIMENT)
         np.testing.assert_array_equal(alpha, [1.0])
-        np.testing.assert_array_equal(pooled.data, hh)
+        np.testing.assert_array_equal(pooled.data, [hh])
 
     def test_identical_steps_split_evenly(self):
         params = sentence_params()
         hh = np.array([1.0, -2.0, 0.0, 3.0, 1.0, 1.0])
         alpha, pooled = secondary_attention(nd.Tensor([hh, hh]), params, TASK_SENTIMENT)
         np.testing.assert_array_equal(alpha, [0.5, 0.5])
-        np.testing.assert_array_equal(pooled.data, hh)
+        np.testing.assert_array_equal(pooled.data, [hh])
 
     def test_length_three_matches_direct_formula(self):
         params = sentence_params()
@@ -332,17 +332,17 @@ class TestForward:
         params = init_parameters(config, vocab_size=9, seed=0)
         trace = forward(tiny_example(), params, config)
         assert set(trace.logits) == {TASK_SENTIMENT}
-        assert trace.logits[TASK_SENTIMENT].shape == (2,)
+        assert trace.logits[TASK_SENTIMENT].shape == (1, 2)
         assert trace.hhat[TASK_SENTIMENT] is trace.h
-        assert trace.sentence_vector[TASK_SENTIMENT].shape == (8,)
+        assert trace.sentence_vector[TASK_SENTIMENT].shape == (1, 8)
 
     def test_joint_mode_has_both_branches_with_own_attention(self):
         config = tiny_config("M2")
         params = init_parameters(config, vocab_size=9, seed=0)
         trace = forward(tiny_example(), params, config)
         assert set(trace.logits) == {TASK_SENTIMENT, TASK_EMOTION}
-        assert trace.logits[TASK_EMOTION].shape == (8,)
-        assert trace.sentence_vector[TASK_SENTIMENT].shape == (13,)
+        assert trace.logits[TASK_EMOTION].shape == (1, 8)
+        assert trace.sentence_vector[TASK_SENTIMENT].shape == (1, 13)
         assert not np.array_equal(
             trace.sentence_alpha[TASK_SENTIMENT], trace.sentence_alpha[TASK_EMOTION]
         )
@@ -536,8 +536,8 @@ def model_loss_fn(example, config, fixed):
     import emosent.nd as ndm
 
     targets = {
-        TASK_SENTIMENT: ndm.Tensor([0.0, 1.0]),
-        TASK_EMOTION: ndm.Tensor(example.emotions),
+        TASK_SENTIMENT: ndm.Tensor([[0.0, 1.0]]),
+        TASK_EMOTION: ndm.Tensor([example.emotions]),
     }
 
     def loss_fn(checked):
@@ -546,7 +546,7 @@ def model_loss_fn(example, config, fixed):
         for task in config.tasks:
             term = ndm.sigmoid_xent(trace.logits[task], targets[task])
             loss = term if loss is None else ndm.add(loss, term)
-        return loss
+        return ndm.sum(loss)
 
     return loss_fn
 

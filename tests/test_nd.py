@@ -71,6 +71,36 @@ class TestLstm:
             nd.lstm(*(nd.Tensor(np.ones(s)) for s in (xs, W, U, b)))
 
 
+    @pytest.mark.parametrize("lengths", [[2, 2], [3, 0], [], [[3]]])
+    def test_lengths_must_split_the_rows(self, lengths):
+        with pytest.raises(nd.ShapeError, match="lstm"):
+            nd.lstm(*(nd.Tensor(np.ones(s)) for s in ((3, 5), (5, 8), (2, 8), (8,))), lengths)
+
+
+class TestAttentionPool:
+    def test_segments_match_softmax_over_their_own_rows(self):
+        rng = np.random.default_rng(6)
+        scores, values = rng.normal(size=5), rng.normal(size=(5, 3))
+        pooled, weights = nd.attention_pool(nd.Tensor(scores), nd.Tensor(values), [2, 3])
+        for row, seg in enumerate((slice(0, 2), slice(2, 5))):
+            alpha = softmax_list(scores[seg].tolist())
+            np.testing.assert_allclose(weights[seg], alpha, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(pooled.data[row], np.dot(alpha, values[seg]), atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "scores,values,lengths",
+        [
+            ((3,), (3, 2), [2, 2]),
+            ((3,), (3, 2), [3, 0]),
+            ((3,), (2, 2), None),
+            ((0,), (0, 2), None),
+        ],
+    )
+    def test_mismatched_operands_rejected(self, scores, values, lengths):
+        with pytest.raises(nd.ShapeError, match="attention_pool"):
+            nd.attention_pool(nd.Tensor(np.ones(scores)), nd.Tensor(np.ones(values)), lengths)
+
+
 class TestAttend:
     def test_rows_match_softmax_over_their_own_keys(self):
         rng = np.random.default_rng(5)

@@ -160,3 +160,9 @@ class TestLexiconFile:
         bad.write_text("good\tten\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             SegmentationLexicon.from_file(bad)
+
+    def test_negative_count_names_file_and_line(self, tmp_path):
+        bad = tmp_path / "lex.txt"
+        bad.write_text("good\t10\nbad\t-30\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"lex\.txt: line 2: count -30 is negative"):
+            SegmentationLexicon.from_file(bad)

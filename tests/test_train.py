@@ -3,9 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emosent import nd
-from emosent.model import ForwardTrace, TASK_EMOTION, TASK_SENTIMENT, forward, init_parameters
+from emosent.model import (
+    MODES,
+    ForwardTrace,
+    ModelConfig,
+    TASK_EMOTION,
+    TASK_SENTIMENT,
+    forward,
+    init_parameters,
+    trainable_names,
+)
 from emosent.resources import EncodedExample
 from emosent.train import TrainConfig, evaluate, joint_loss, train
 
@@ -15,9 +26,9 @@ from conftest import small_config
 def fake_trace(mode, sent_logits=None, emo_logits=None):
     trace = ForwardTrace(mode, h=[])
     if sent_logits is not None:
-        trace.logits[TASK_SENTIMENT] = nd.Tensor(sent_logits)
+        trace.logits[TASK_SENTIMENT] = nd.Tensor([sent_logits])
     if emo_logits is not None:
-        trace.logits[TASK_EMOTION] = nd.Tensor(emo_logits)
+        trace.logits[TASK_EMOTION] = nd.Tensor([emo_logits])
     return trace
 
 
@@ -65,10 +76,10 @@ class TestJointLoss:
         ex = bundle.train_examples[0]
         trace = forward(ex, params, config)
         sent_term = nd.sigmoid_xent(
-            trace.logits[TASK_SENTIMENT], nd.Tensor([0.0, 1.0])
+            nd.Tensor(trace.logits[TASK_SENTIMENT].data[0]), nd.Tensor([0.0, 1.0])
         ).item()
         emo_term = nd.sigmoid_xent(
-            trace.logits[TASK_EMOTION], nd.Tensor(ex.emotions)
+            nd.Tensor(trace.logits[TASK_EMOTION].data[0]), nd.Tensor(ex.emotions)
         ).item()
         assert joint_loss(trace, ex, config).item() == pytest.approx(
             sent_term + emo_term, abs=1e-12
@@ -232,3 +243,76 @@ class TestEvaluate:
         assert report.sentiment is not None and report.emotion is not None
         assert 0.0 <= report.sentiment.macro_f1 <= 1.0
         assert 0.0 <= report.emotion.micro.f1 <= 1.0
+
+
+def tiny_batch_config(mode):
+    return ModelConfig(
+        mode=mode, embed_dim=5, lstm_hidden=4, context_dim=3, dt_k=2,
+        dropout_rate=0.6, train_embeddings=True,
+    )
+
+
+tweets = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.lists(st.integers(0, 8), max_size=3)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from(["negative", "positive", "other"]),
+        st.lists(st.integers(0, 1), min_size=8, max_size=8),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+class TestBatchEquivalence:
+    """One forward and backward pass over a packed batch equals the
+    examples run one at a time on the same dropout stream."""
+
+    @given(mode=st.sampled_from(MODES), rows=tweets, batch_size=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    # Length-1 tweets, tokens and whole tweets without candidates, and a
+    # ragged final batch; then an all-"other" batch in a joint mode.
+    @example(mode="M2", rows=[([(3, [])], "positive", [1] * 8), ([(1, [2, 4]), (5, [])],
+             "negative", [0] * 8), ([(7, [])], "other", [0, 1] * 4)], batch_size=2, seed=0)
+    @example(mode="M1", rows=[([(2, [1]), (6, [])], "other", [1, 0] * 4),
+             ([(4, [])], "other", [0] * 8)], batch_size=2, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_examples_one_at_a_time(self, mode, rows, batch_size, seed):
+        config = tiny_batch_config(mode)
+        params = init_parameters(config, vocab_size=9, seed=seed)
+        names = trainable_names(params)
+        examples = [
+            EncodedExample(f"r{i}", [t for t, _ in tokens], [c for _, c in tokens], label,
+                           np.array(bits, dtype=np.float64))
+            for i, (tokens, label, bits) in enumerate(rows)
+        ]
+        batched_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for start in range(0, len(examples), batch_size):
+            batch = examples[start : start + batch_size]
+            with nd.Tape() as tape:
+                trace = forward(batch, params, config, train_mode=True, dropout_rng=batched_rng)
+                loss = joint_loss(trace, batch, config, 0.5, 2.0)
+            grads = tape.gradients(loss, [params[n] for n in names])
+            summed = [np.zeros(params[n].shape) for n in names]
+            for b, ex in enumerate(batch):
+                with nd.Tape() as tape:
+                    single = forward(ex, params, config, train_mode=True, dropout_rng=single_rng)
+                    single_loss = joint_loss(single, ex, config, 0.5, 2.0)
+                single_grads = tape.gradients(single_loss, [params[n] for n in names])
+                for total, grad in zip(summed, single_grads):
+                    total += grad
+                assert abs(trace.losses[b] - single_loss.item()) <= 1e-12
+                for task in config.tasks:
+                    got, want = trace.logits[task].data[b], single.logits[task].data[0]
+                    assert np.abs(got - want).max() <= 1e-12
+            assert loss.item() == pytest.approx(np.mean(trace.losses), abs=1e-15)
+            # Summation rounding scales with the summed terms, which can be
+            # far larger than a cancelled total (a sentence of one repeated
+            # token gives emotion/b_s a 2e-7 gradient from 1e-3 terms), hence
+            # the absolute floor of a few ulps of an O(1) term.
+            for name, grad, total in zip(names, grads, summed):
+                error = np.abs(grad * len(batch) - total).max()
+                assert error <= 1e-12 * np.abs(total).max() + 1e-15, name
