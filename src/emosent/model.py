@@ -13,7 +13,10 @@ ops whatever the batch, and only the recurrence and the sentence-attention
 pooling read the per-example lengths. The tape entries of a pass grow with
 neither N nor B. Each LSTM direction holds three
 tensors, lstm_{fw,bw}/W [embed_dim, 4H], U [H, 4H] and b [4H] with
-H = lstm_hidden, whose gates (i, f, g, o) are consecutive H-column blocks.
+H = lstm_hidden, whose gates (i, f, g, o) are consecutive H-column blocks;
+both directions are one `nd.bilstm` tape entry per pass, run on two
+threads from H = `nd.autodiff.PARALLEL_MIN_HIDDEN` up when two CPUs are
+usable, with bit-identical results either way.
 
 Sentiment is decided by argmax over the two sigmoid outputs with index
 order (negative, positive); emotions are thresholded per label at 0.5,
@@ -210,14 +213,13 @@ def bilstm_forward(
     """States [N, 2H] for the embeddings `xs` [N, embed_dim] of sequences
     packed back to back with the given `lengths` (default: one sequence).
     Row t is concat(forward_t, backward_t), each direction reading only its
-    own sequence, times the `dropout` mask [N, 2H] when one is given."""
+    own sequence, times the `dropout` mask [N, 2H] when one is given. One
+    `nd.bilstm` entry on the tape (plus the dropout product); at paper dims
+    it runs the two directions on two threads."""
     if xs.shape[0] == 0:
         raise ValueError("bilstm_forward needs a non-empty sequence")
-    fw = nd.lstm(xs, params["lstm_fw/W"], params["lstm_fw/U"], params["lstm_fw/b"], lengths)
-    bw = nd.lstm(
-        xs, params["lstm_bw/W"], params["lstm_bw/U"], params["lstm_bw/b"], lengths, reverse=True
-    )
-    states = nd.concat([fw, bw])
+    fw, bw = ([params[f"lstm_{d}/{n}"] for n in ("W", "U", "b")] for d in ("fw", "bw"))
+    states = nd.bilstm(xs, fw, bw, lengths)
     return states if dropout is None else nd.mul(states, dropout)
 
 

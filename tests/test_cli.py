@@ -1,4 +1,8 @@
 """End-to-end command behavior through the in-process entry point."""
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +14,8 @@ from emosent.cli import entrypoint
 from emosent.metrics import parse_metrics
 
 from conftest import FIXTURES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(path, out_dir, **overrides):
@@ -127,6 +133,24 @@ class TestTrainCommand:
             outs.append(tmp_path / name)
         for artifact in artifacts:
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # BLAS reads its thread count once, at load, so each run needs its
+        # own process.
+        artifacts = ("checkpoint.bin", "metrics.txt", "train_log.txt")
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            config = write_config(tmp_path / f"{threads}.cfg", out, epochs=3, dropout=0.2)
+            path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            proc = subprocess.run(
+                [sys.executable, "-m", "emosent.cli", "train", "--config", str(config)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+        for artifact in artifacts:
+            one, two = ((tmp_path / t / artifact).read_bytes() for t in ("1", "2"))
+            assert one == two, artifact
 
     def test_seed_flag_overrides_config(self, tmp_path):
         for seed_args in ([], ["--seed", "1"]):
