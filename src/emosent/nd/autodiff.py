@@ -14,7 +14,6 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,8 +29,10 @@ _node_counter = itertools.count()
 class Tensor:
     """A C-contiguous float64 array plus autodiff bookkeeping.
 
-    Treat instances as immutable values: ops return fresh tensors and the
-    optimizer produces new ones rather than writing in place.
+    Treat instances as immutable values: ops return fresh tensors. The one
+    exception is `adam_step`: it returns fresh tensors that view its state's
+    parameter arena, so the next step on the same state overwrites them (the
+    caller's initial parameters are never written).
     """
 
     __slots__ = ("data", "requires_grad", "node_id")
@@ -66,21 +67,6 @@ class TapeEntry(NamedTuple):
 
 _tape_stack: list["Tape"] = []
 
-# Test hook: name of the op whose backward rule is deliberately corrupted.
-# Used by the gradient-check CLI to prove the checker catches bad rules.
-_backward_fault: str | None = None
-
-
-@contextmanager
-def inject_backward_fault(op_name: str):
-    """Corrupt one op's backward rule inside the block (test hook only)."""
-    global _backward_fault
-    _backward_fault = op_name
-    try:
-        yield
-    finally:
-        _backward_fault = None
-
 
 class Tape:
     """Execution-ordered record of differentiable ops.
@@ -108,7 +94,9 @@ class Tape:
     def gradients(self, loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
         """Gradients of a scalar loss for each tensor in `wrt`.
 
-        Tensors not reachable from the loss get zero gradients.
+        Tensors not reachable from the loss get zero gradients. A backward
+        rule may return None for an input that needs no gradient (one whose
+        `requires_grad` is false), and that input is skipped.
         """
         if loss.shape != ():
             raise ValueError(
@@ -216,10 +204,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def bwd(g):
-        ga = g * (1.0 - y * y)
-        if _backward_fault == "tanh":
-            ga = ga * 1.01
-        return (ga,)
+        return (g * (1.0 - y * y),)
 
     return _record(out, (a,), bwd)
 
@@ -243,7 +228,8 @@ def attend(queries: Tensor, keys: Tensor, mask) -> tuple[Tensor, np.ndarray]:
     max-subtracted softmax and mixes the keys with the weights. A row with
     no unmasked key mixes in zeros, and masked keys get exactly zero weight
     and zero gradient. Returns the mix [T, d] as one tape entry and the
-    weights [T, K] as a plain array.
+    weights [T, K] as a plain array. The backward pass forms no key gradient
+    (None) when `keys` needs none.
     """
     mask = np.asarray(mask, dtype=bool)
     fits = queries.data.ndim == mask.ndim == 2 and mask.shape[0] == queries.shape[0]
@@ -264,6 +250,8 @@ def attend(queries: Tensor, keys: Tensor, mask) -> tuple[Tensor, np.ndarray]:
         d_weights = np.matmul(k, g[:, :, None])[:, :, 0]
         d_scores = weights * (d_weights - (d_weights * weights).sum(axis=1, keepdims=True))
         d_queries = np.matmul(d_scores[:, None, :], k)[:, 0, :]
+        if not keys.requires_grad:
+            return d_queries, None
         d_keys = weights[:, :, None] * g[:, None, :] + d_scores[:, :, None] * q[:, None, :]
         return d_queries, d_keys.reshape(keys.shape)
 
@@ -404,7 +392,8 @@ def _sequence_layout(lengths: np.ndarray, reverse: bool):
 def _run_direction(x_all, w, u, bias, lengths, reverse, out):
     """Run one LSTM direction over the packed rows `x_all` [N, in] and write
     its states into `out` [N, H]; returns the BPTT closure, which maps the
-    states' gradient [N, H] to (d_xs, dW, dU, db).
+    states' gradient [N, H] to (d_xs, dW, dU, db), d_xs None unless its
+    `input_grad` argument is true.
 
     The gates (i, f, g, o) are consecutive H-column blocks of w [in, 4H],
     u [H, 4H] and bias [4H]. Plain arrays in and out, no tape: `bilstm`
@@ -439,7 +428,7 @@ def _run_direction(x_all, w, u, bias, lengths, reverse, out):
         np.multiply(a[:, 3 * hidden :], tanh_cells[start:stop], out=states[start:stop])
     out[read] = states[batch:]
 
-    def bwd(d_out):
+    def bwd(d_out, input_grad):
         i, f, g, o = (acts[:, k * hidden : (k + 1) * hidden] for k in range(4))
         # A step's dz is [dc, dc, dc, dh] times these factors of its rows
         # (product rule, then each activation's slope), formed for all rows.
@@ -461,8 +450,10 @@ def _run_direction(x_all, w, u, bias, lengths, reverse, out):
             np.multiply(dc_t, f[start:stop], out=dc[before : before + n])
             dh[before : before + n] += dz[start:stop].reshape(n, 4 * hidden) @ u.T
         dz = dz[batch:].reshape(rows, 4 * hidden)
-        d_xs = np.empty_like(x_all)
-        d_xs[read] = dz @ w.T
+        d_xs = None
+        if input_grad:
+            d_xs = np.empty_like(x_all)
+            d_xs[read] = dz @ w.T
         return d_xs, x.T @ dz, states[prev[batch:]].T @ dz, dz.sum(axis=0)
 
     return bwd
@@ -538,7 +529,8 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
     over the n_t sequences longer than t, and backpropagation through time
     forms each weight gradient as one GEMM over all rows. Returns the states
     as one tape entry whose backward gives the gradients of xs, then of fw's
-    and bw's W, U and b.
+    and bw's W, U and b; that of xs is None, and its two [N, 4H] x [4H, in]
+    GEMMs are skipped, when `xs` needs no gradient.
 
     The directions share no state. From H = PARALLEL_MIN_HIDDEN up, with at
     least two usable CPUs, the forward direction runs on one worker thread
@@ -575,10 +567,13 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
     out = Tensor(h)
 
     def bwd(g):
+        input_grad = xs.requires_grad
         (d_xs, *d_fw), (d_xs_bw, *d_bw) = _both(
-            lambda: fw_bwd(g[:, :hidden]), lambda: bw_bwd(g[:, hidden:]), parallel
+            lambda: fw_bwd(g[:, :hidden], input_grad),
+            lambda: bw_bwd(g[:, hidden:], input_grad),
+            parallel,
         )
-        return (d_xs + d_xs_bw, *d_fw, *d_bw)
+        return (d_xs if d_xs is None else d_xs + d_xs_bw, *d_fw, *d_bw)
 
     return _record(out, (xs, *fw, *bw), bwd)
 

@@ -101,7 +101,8 @@ def train(
     model_cfg: ModelConfig,
 ) -> tuple[dict[str, nd.Tensor], list[float]]:
     """Optimize `params` on `examples`; returns new params and the per-epoch
-    mean loss log. Fully determined by (seed, configs, examples). The first
+    mean loss log. Fully determined by (seed, configs, examples); `params`
+    is never written, as the optimizer keeps its own arena. The first
     non-finite loss or averaged gradient raises ValueError naming its batch."""
     pool = _trainable_examples(examples, model_cfg)
     if not pool:

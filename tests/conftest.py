@@ -23,6 +23,21 @@ def small_config(mode="M2", **overrides):
     return ModelConfig(**settings)
 
 
+def corrupt_tanh_backward(monkeypatch):
+    """Swap `nd.tanh` for a stand-in with tanh's value (up to rounding) and
+    1.01 times its gradient: the tape sees 1.01·tanh(a) plus the constant
+    -0.01·tanh(a)."""
+    from emosent import nd
+
+    tanh = nd.tanh
+
+    def corrupted(a):
+        y = tanh(a)
+        return nd.add(nd.scale(y, 1.01), nd.Tensor(-0.01 * y.data))
+
+    monkeypatch.setattr(nd, "tanh", corrupted)
+
+
 def gate_weights(params, prefix):
     """One LSTM direction's gate-stacked tensors sliced into the per-gate
     nested lists (W_i, U_i, b_i, ...) that the loop oracle takes."""

@@ -139,6 +139,22 @@ def affine_loops(x, W, b):
     ]
 
 
+def adam_step_per_tensor(params, grads, m, v, t, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam as whole-array numpy expressions, one parameter at
+    a time. `params`, `m` and `v` map names to arrays (a missing moment
+    starts at 0.0); returns new dicts of the three and writes nothing."""
+    new_params, new_m, new_v = dict(params), dict(m), dict(v)
+    for name, grad in grads.items():
+        g = np.asarray(grad, dtype=np.float64)
+        mm = beta1 * m.get(name, 0.0) + (1.0 - beta1) * g
+        vv = beta2 * v.get(name, 0.0) + (1.0 - beta2) * g * g
+        m_hat = mm / (1.0 - beta1**t)
+        v_hat = vv / (1.0 - beta2**t)
+        new_m[name], new_v[name] = mm, vv
+        new_params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return new_params, new_m, new_v
+
+
 def enumerate_segmentations(body, cost_fn):
     """Best split of `body` by trying all 2^(n-1) cut patterns."""
     n = len(body)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from emosent import nd
 
-from oracles import matmul_loops, sigmoid_xent_highprec, softmax_list
+from emosent.nd.adam import BLOCK
+from oracles import adam_step_per_tensor, matmul_loops, sigmoid_xent_highprec, softmax_list
 
 finite_vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=12
@@ -253,6 +254,80 @@ class TestAdam:
         params = {"w": nd.Tensor(np.ones((2, 3)))}
         with pytest.raises(ValueError, match="'w'"):
             nd.adam_step(params, {"w": np.ones(5)}, nd.AdamState())
+
+
+def adam_cases(rng):
+    """Parameters and per-step gradients that reach the arena step's edges:
+    a tensor over one block and not a multiple of it, a 0-d tensor, signed
+    zeros, a non-contiguous gradient and a parameter with no gradient."""
+    zeros = np.array([0.0, -0.0, 0.0, -0.0, 1.5])
+    params = {
+        "big": nd.Tensor(rng.normal(size=(3, BLOCK // 2 + 11)), requires_grad=True),
+        "scalar": nd.Tensor(np.array(0.25), requires_grad=True),
+        "zeros": nd.Tensor(zeros, requires_grad=True),
+        "strided": nd.Tensor(rng.normal(size=(4, 6)), requires_grad=True),
+        "frozen": nd.Tensor(rng.normal(size=3)),
+    }
+
+    def grads():
+        return {
+            "big": rng.normal(size=params["big"].shape),
+            "scalar": np.array(rng.normal()),
+            "zeros": np.array([0.0, -0.0, -0.0, 0.0, -0.0]),
+            "strided": rng.normal(size=(4, 12))[:, ::2],
+        }
+
+    return params, grads
+
+
+def same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestAdamArena:
+    def test_matches_per_tensor_oracle_byte_for_byte(self):
+        params, grads = adam_cases(np.random.default_rng(11))
+        initial = {name: p.data.copy() for name, p in params.items()}
+        ref_p, ref_m, ref_v = initial, {}, {}
+        state, current = nd.AdamState(), params
+        for t in range(1, 7):
+            step_grads = grads()
+            if t == 4:
+                # A step reads the parameters it is given, arena views or not.
+                ref_p["strided"] = np.full((4, 6), -0.5)
+                current = {**current, "strided": nd.Tensor(ref_p["strided"], requires_grad=True)}
+            assert not step_grads["strided"].flags.c_contiguous
+            current, state = nd.adam_step(current, step_grads, state, lr=0.01)
+            ref_p, ref_m, ref_v = adam_step_per_tensor(ref_p, step_grads, ref_m, ref_v, t, lr=0.01)
+            assert state.t == t
+            assert current["frozen"] is params["frozen"]
+            for name in step_grads:
+                assert same_bytes(current[name].data, ref_p[name]), (t, name)
+                assert same_bytes(state.m[name], ref_m[name]), (t, name)
+                assert same_bytes(state.v[name], ref_v[name]), (t, name)
+        for name, p in params.items():
+            assert same_bytes(p.data, initial[name]), name
+
+    def test_bad_gradient_raises_before_writing(self):
+        rng = np.random.default_rng(12)
+        params, grads = adam_cases(rng)
+        state, current = nd.AdamState(), params
+        for _ in range(2):
+            current, state = nd.adam_step(current, grads(), state)
+        arenas = [a.copy() for a in state.arenas]
+        values = {name: p.data.copy() for name, p in current.items()}
+        for bad, match in (
+            ({"scalar": np.ones(2)}, "'scalar' has shape"),
+            ({"frozen": np.ones(3)}, "no \\(3,\\) tensor 'frozen'"),
+        ):
+            # "big" comes first, so a step that wrote before checking would move it.
+            with pytest.raises(ValueError, match=match):
+                nd.adam_step(current, {**grads(), **bad}, state)
+            assert state.t == 2
+            for before, after in zip(arenas, state.arenas):
+                assert same_bytes(before, after)
+            for name, p in current.items():
+                assert same_bytes(p.data, values[name]), name
 
 
 class TestDropoutMask:

@@ -1,6 +1,7 @@
 """`nd.bilstm` gives bit-identical results on either schedule: its two
 directions one after the other on the calling thread, or the forward one on
-the worker thread at the same time."""
+the worker thread at the same time. On both, a frozen input of `nd.bilstm`
+or `nd.attend` gets no gradient and changes no other one."""
 import multiprocessing
 import queue
 import threading
@@ -107,3 +108,48 @@ def test_forked_child_runs_the_parallel_schedule(monkeypatch):
     assert got is not None, "the forked child's bilstm never finished"
     assert np.array_equal(got, expected)
     assert child.exitcode == 0
+
+
+def frozen_input_gradients(xs_trainable, keys_trainable, hidden=8, seed=1):
+    """The gradient of a loss through `nd.bilstm` and then `nd.attend` for
+    each input that requires one, by name, and what the two ops' backward
+    passes give for `xs` and `keys`."""
+    rng = np.random.default_rng(seed)
+    rows, width, k = sum(LENGTHS), 5, 3
+
+    def tensor(*shape, trainable=True):
+        return nd.Tensor(rng.normal(size=shape) * 0.5, requires_grad=trainable)
+
+    inputs = {"xs": tensor(rows, width, trainable=xs_trainable)}
+    for direction in ("fw", "bw"):
+        for name, shape in (("W", (width, 4 * hidden)), ("U", (hidden, 4 * hidden)),
+                            ("b", (4 * hidden,))):
+            inputs[f"{direction}/{name}"] = tensor(*shape)
+    inputs["keys"] = tensor(rows * k, 2 * hidden, trainable=keys_trainable)
+    mask = rng.random((rows, k)) < 0.7
+    probe = nd.Tensor(rng.normal(size=(rows, 2 * hidden)))
+    fw, bw = ([inputs[f"{d}/{n}"] for n in "WUb"] for d in ("fw", "bw"))
+    with nd.Tape() as tape:
+        states = nd.bilstm(inputs["xs"], fw, bw, LENGTHS)
+        mix, _ = nd.attend(states, inputs["keys"], mask)
+        loss = nd.sum(nd.mul(nd.add(states, mix), probe))
+    names = [name for name, t in inputs.items() if t.requires_grad]
+    grads = dict(zip(names, tape.gradients(loss, [inputs[n] for n in names])))
+    bilstm_entry, attend_entry = tape.entries[:2]
+    d_xs = bilstm_entry.backward(probe.data)[0]
+    d_keys = attend_entry.backward(probe.data)[1]
+    return grads, d_xs, d_keys
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_frozen_inputs_get_no_gradient(parallel, monkeypatch):
+    force_schedule(monkeypatch, parallel)
+    reference, d_xs, d_keys = frozen_input_gradients(True, True)
+    assert d_xs is not None and d_keys is not None
+    for xs_trainable, keys_trainable in [(False, True), (True, False), (False, False)]:
+        grads, d_xs, d_keys = frozen_input_gradients(xs_trainable, keys_trainable)
+        assert (d_xs is None) != xs_trainable and (d_keys is None) != keys_trainable
+        assert ("xs" in grads) == xs_trainable and ("keys" in grads) == keys_trainable
+        assert len(grads) == 6 + xs_trainable + keys_trainable
+        for name, grad in grads.items():
+            assert np.array_equal(grad, reference[name]), name

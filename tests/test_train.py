@@ -136,6 +136,22 @@ class TestTrain:
             not np.array_equal(trained[name].data, before[name]) for name in params
         )
 
+    def test_reruns_from_the_same_params_are_bit_identical(self, bundle):
+        # The optimizer updates its own arena in place: neither the caller's
+        # params nor the first run's result may move when training runs again.
+        config = small_config("M2", dropout_rate=0.5)
+        params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=12)
+        before = {name: p.data.tobytes() for name, p in params.items()}
+        runs = [
+            train(bundle.train_examples, params, quick_train_config(seed=12), config)
+            for _ in range(2)
+        ]
+        assert {name: p.data.tobytes() for name, p in params.items()} == before
+        (first, first_log), (second, second_log) = runs
+        assert first_log == second_log
+        for name in params:
+            assert first[name].data.tobytes() == second[name].data.tobytes(), name
+
     def test_same_seed_same_loss_log(self, bundle):
         config = small_config("M2")
         logs = []
