@@ -114,10 +114,12 @@ def load_checkpoint(path) -> Checkpoint:
         )
     params: dict[str, Tensor] = {}
     for name, shape in shapes.items():
-        end = offset + 8 * int(np.prod(shape))
+        count = int(np.prod(shape))
+        end = offset + 8 * count
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated payload at tensor {name!r}")
-        data = np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
+        data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        data = data.astype(np.float64).reshape(shape)
         params[name] = Tensor(data, requires_grad=name != "embedding" or config.train_embeddings)
         offset = end
     if offset != len(raw):

@@ -1,8 +1,10 @@
 """External inputs: pretrained embeddings, thesaurus expansions, corpora.
 
 File formats (all UTF-8):
-  embeddings  word2vec text, `word v1 .. v_dim` per line, optional `count dim`
-              header line;
+  embeddings  word2vec text, `word v1 .. v_dim` per line, single spaces,
+              optional `count dim` header line; the first line of a word
+              wins. Parsed in blocks by numpy's C text reader, with values
+              equal to `float()`'s; an error names the first bad line;
   thesaurus   `word<TAB>cand1,cand2,...` with candidates ranked most-similar
               first;
   corpus      `id<TAB>text<TAB>sentiment<TAB>b1 b2 .. b8` with the text column
@@ -39,6 +41,8 @@ EMOTIONS = (
     "surprise",
     "trust",
 )
+# Embedding lines per np.loadtxt call.
+CHUNK_ROWS = 4096
 
 
 class ResourceFormatError(ValueError):
@@ -69,52 +73,59 @@ class EmbeddingMatrix:
 def load_embeddings(path, expected_dim: int, seed: int = 0) -> EmbeddingMatrix:
     """Parse word2vec text vectors and attach the special rows.
 
+    The first occurrence of a word is kept; later ones are still parsed, so
+    a malformed repeat is an error too. Values are parsed in blocks of
+    CHUNK_ROWS lines by numpy's C text reader; a block it rejects is parsed
+    again line by line with `float()`, which names the first bad line and
+    accepts the spellings numpy refuses (`1_0`, non-ASCII digits). Both
+    round correctly, so every value is the double `float()` gives.
+
     <pad> is all zeros and <oov> is a seeded truncated-normal draw, both
     regardless of file contents; placeholder rows (<user>, <number>, <url>)
     are taken from the file when present, otherwise drawn the same way.
     """
     path = Path(path)
-    index: dict[str, int] = {}
-    rows: list[np.ndarray] = []
     lines = path.read_text(encoding="utf-8").splitlines()
     start = 0
     if lines:
         head = lines[0].split()
         if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
             start = 1
+    entries: list[tuple[int, str]] = []  # (line number, text) of each vector line
+    targets: list[int] = []  # its matrix row, -1 for a repeated word
+    index: dict[str, int] = {}
+    first_lines: list[int] = []  # line number of each kept row
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
-        parts = line.rstrip().split(" ")
-        word, values = parts[0], parts[1:]
-        if len(values) != expected_dim:
-            raise ResourceFormatError(
-                f"{path}: line {lineno}: expected {expected_dim} values for "
-                f"{word!r}, got {len(values)}"
-            )
-        try:
-            vector = np.array([float(v) for v in values], dtype=np.float64)
-        except ValueError:
-            raise ResourceFormatError(
-                f"{path}: line {lineno}: non-numeric value for {word!r}"
-            ) from None
-        if word not in index:
-            index[word] = len(rows)
-            rows.append(vector)
-    if not rows:
+        line = line.rstrip()
+        word = line.split(" ", 1)[0]
+        entries.append((lineno, line))
+        if word in index:
+            targets.append(-1)
+        else:
+            index[word] = len(first_lines)
+            targets.append(len(first_lines))
+            first_lines.append(lineno)
+    if not entries:
         raise ResourceFormatError(f"{path}: no embedding vectors found")
-    appended = set()
-    for special in SPECIALS:
-        if special not in index:
-            index[special] = len(rows)
-            rows.append(np.zeros(expected_dim))
-            appended.add(special)
-    matrix = np.vstack(rows)
+    appended = [s for s in SPECIALS if s not in index]
+    for special in appended:
+        index[special] = len(index)
+    # A negative dim must fail on the first line below, not here.
+    matrix = np.zeros((len(index), max(expected_dim, 0)))
+    targets_arr = np.array(targets, dtype=np.intp)
+    for lo in range(0, len(entries), CHUNK_ROWS):
+        values = _parse_block(path, entries[lo : lo + CHUNK_ROWS], expected_dim)
+        rows = targets_arr[lo : lo + CHUNK_ROWS]
+        kept = rows >= 0
+        matrix[rows[kept]] = values[kept]
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:  # one check here: a check per parsed row slows loading
         word = list(index)[bad[0]]
-        lineno = start + 1 + [ln.split(" ")[0] for ln in lines[start:]].index(word)
-        raise ResourceFormatError(f"{path}: line {lineno}: non-finite value for {word!r}")
+        raise ResourceFormatError(
+            f"{path}: line {first_lines[bad[0]]}: non-finite value for {word!r}"
+        )
     matrix[index[PAD]] = 0.0
     matrix[index[OOV]] = truncated_normal(stage_rng(seed, "embeddings/<oov>"), expected_dim)
     for special in SPECIALS[2:]:
@@ -123,6 +134,42 @@ def load_embeddings(path, expected_dim: int, seed: int = 0) -> EmbeddingMatrix:
                 stage_rng(seed, f"embeddings/{special}"), expected_dim
             )
     return EmbeddingMatrix(expected_dim, index, matrix)
+
+
+def _parse_block(path, block: list[tuple[int, str]], dim: int) -> np.ndarray:
+    """Values [len(block), dim] of (line number, rstripped line) pairs."""
+    text = [line for _, line in block]
+    if all(line.count(" ") == dim for line in text):
+        try:
+            return np.loadtxt(
+                text,
+                dtype=np.float64,
+                delimiter=" ",
+                usecols=range(1, dim + 1),
+                comments=None,
+                ndmin=2,
+            )
+        except ValueError:
+            pass  # parsed again below, line by line
+    return np.array(
+        [_parse_row(path, lineno, line, dim) for lineno, line in block], dtype=np.float64
+    ).reshape(len(block), dim)
+
+
+def _parse_row(path, lineno: int, line: str, dim: int) -> list[float]:
+    """One vector line's values, or the error that names the line."""
+    parts = line.split(" ")
+    word, values = parts[0], parts[1:]
+    if len(values) != dim:
+        raise ResourceFormatError(
+            f"{path}: line {lineno}: expected {dim} values for {word!r}, got {len(values)}"
+        )
+    try:
+        return [float(v) for v in values]
+    except ValueError:
+        raise ResourceFormatError(
+            f"{path}: line {lineno}: non-numeric value for {word!r}"
+        ) from None
 
 
 class Thesaurus:
@@ -210,18 +257,6 @@ def load_corpus(path) -> Corpus:
     return Corpus(path.stem, examples)
 
 
-def serialize_corpus(corpus: Corpus) -> str:
-    """Corpus back to TSV text; inverse of load_corpus up to whitespace."""
-    lines = []
-    for ex in corpus.examples:
-        lines.append(
-            "\t".join(
-                [ex.id, " ".join(ex.tokens), ex.sentiment, " ".join(str(b) for b in ex.emotions)]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class Vocabulary:
     words: list[str]
@@ -265,7 +300,7 @@ def build_vocab(
 
 def vocab_embedding_rows(vocab: Vocabulary, embeddings: EmbeddingMatrix) -> np.ndarray:
     """Embedding matrix reordered to vocabulary ids."""
-    return np.vstack([embeddings.lookup(w) for w in vocab.words])
+    return embeddings.matrix[[embeddings.row_id(w) for w in vocab.words]]
 
 
 @dataclass

@@ -155,6 +155,59 @@ def adam_step_per_tensor(params, grads, m, v, t, lr=0.001, beta1=0.9, beta2=0.99
     return new_params, new_m, new_v
 
 
+def load_embeddings_per_line(path, expected_dim, specials, draw):
+    """word2vec text vectors parsed one line at a time with `float()`.
+
+    Returns (words in row order, matrix). Words absent from the file among
+    `specials` are appended as zero rows; after the non-finite check,
+    specials[0] is zeroed, specials[1] and each appended specials[2:] row
+    become `draw(special)`. A bad line raises ValueError naming it.
+    """
+    index, rows, first_line = {}, [], {}
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = 0
+    if lines:
+        head = lines[0].split()
+        if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
+            start = 1
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
+        parts = line.rstrip().split(" ")
+        word, values = parts[0], parts[1:]
+        if len(values) != expected_dim:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {expected_dim} values for "
+                f"{word!r}, got {len(values)}"
+            )
+        try:
+            vector = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric value for {word!r}") from None
+        if word not in index:
+            index[word] = len(rows)
+            rows.append(vector)
+            first_line[word] = lineno
+    if not rows:
+        raise ValueError(f"{path}: no embedding vectors found")
+    appended = set()
+    for special in specials:
+        if special not in index:
+            index[special] = len(rows)
+            rows.append(np.zeros(expected_dim))
+            appended.add(special)
+    matrix = np.vstack(rows)
+    for word, row in index.items():
+        if not np.isfinite(matrix[row]).all():
+            raise ValueError(f"{path}: line {first_line[word]}: non-finite value for {word!r}")
+    matrix[index[specials[0]]] = 0.0
+    matrix[index[specials[1]]] = draw(specials[1])
+    for special in specials[2:]:
+        if special in appended:
+            matrix[index[special]] = draw(special)
+    return list(index), matrix
+
+
 def enumerate_segmentations(body, cost_fn):
     """Best split of `body` by trying all 2^(n-1) cut patterns."""
     n = len(body)

@@ -12,6 +12,7 @@ from emosent import nd
 from emosent.checkpoint import load_checkpoint, save_checkpoint
 from emosent.cli import entrypoint
 from emosent.metrics import parse_metrics
+from emosent.resources import CHUNK_ROWS
 
 from conftest import FIXTURES, corrupt_tanh_backward
 
@@ -269,6 +270,18 @@ class TestPreprocessAndVocabCommands:
         words = (tmp_path / "out" / "vocab.txt").read_text(encoding="utf-8").splitlines()
         assert words[0] == "<pad>"
         assert "joyword" in words and "joysyna" in words
+
+    def test_build_vocab_names_bad_embedding_line_in_second_block(self, tmp_path, capsys):
+        lines = (FIXTURES / "embeddings.txt").read_text(encoding="utf-8").splitlines()
+        filler = [f"filler{i} " + " ".join(["0.5"] * 16) for i in range(CHUNK_ROWS)]
+        bad_line = len(lines) + len(filler) + 2
+        rows = lines + filler + ["late " + " ".join(["0.5"] * 16), "broken 1 2 x"]
+        embeddings = tmp_path / "vectors.txt"
+        embeddings.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", embeddings=embeddings)
+        assert entrypoint(["build-vocab", "--config", str(config)]) == 2
+        assert f"line {bad_line}: expected 16 values for 'broken', got 3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "vocab.txt").exists()
 
 
 class TestReportCommand:

@@ -1,6 +1,12 @@
 """Loader contracts: embeddings, thesaurus, corpus, vocabulary."""
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emosent import resources
 from emosent.resources import (
@@ -17,14 +23,60 @@ from emosent.resources import (
     encode_example,
     load_corpus,
     load_embeddings,
-    serialize_corpus,
     vocab_embedding_rows,
 )
+from emosent.rng import stage_rng, truncated_normal
+
+from oracles import load_embeddings_per_line
 
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# Values `float()` accepts or rejects, numpy's reader agreeing or not.
+ODD_VALUES = (
+    "1e400", "-1e400", "1e-320", "nan", "-NaN", "inf", "Infinity", "-0", "1_0", "\uff11",
+    "\u0661", "+1", ".5", "1.", "x", "", "\t1", "1\xa0", "0x10", "1e",
+)
+WORDS = ("a", "b", "c", "\u00e9", "1", "a\tb", "", *SPECIALS)
+
+
+@st.composite
+def decimals(draw):
+    digits = draw(st.text("0123456789", min_size=1, max_size=17))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    if point is not None:
+        digits = digits[:point] + "." + digits[point:]
+    exponent = draw(st.none() | st.integers(-330, 330))
+    sign = draw(st.sampled_from(["", "-"]))
+    return sign + digits + ("" if exponent is None else f"e{exponent}")
+
+
+@st.composite
+def embedding_files(draw):
+    """(dim, text) of a word2vec file: headers, blank and whitespace lines,
+    duplicates, specials, trailing whitespace, odd values, wrong counts and
+    three line endings."""
+    dim = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from([f"7 {dim}", f"-3 {dim}", f"7 {dim} 1", "x 3"])))
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \t "])))
+            continue
+        count = dim if draw(st.integers(0, 19)) else draw(st.integers(0, dim + 2))
+        odd = draw(st.integers(0, 4)) == 0
+        values = [
+            draw(st.sampled_from(ODD_VALUES)) if odd and draw(st.booleans()) else draw(decimals())
+            for _ in range(count)
+        ]
+        trailing = draw(st.sampled_from(["", "", "", "\t", " ", "  ", "\xa0"]))
+        lines.append(" ".join([draw(st.sampled_from(WORDS)), *values]) + trailing)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return dim, eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
 class TestLoadEmbeddings:
@@ -81,6 +133,59 @@ class TestLoadEmbeddings:
         assert len(rows) == len(SPECIALS)
         for s in ("<user>", "<number>", "<url>"):
             assert np.any(emb.lookup(s) != 0.0)
+
+    def test_bad_line_in_a_later_block_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(resources, "CHUNK_ROWS", 2)
+        f = write(tmp_path / "e.txt", "a 1 2\nb 3 4\nc 5 6\nd 7 8\ne 9 x\n")
+        with pytest.raises(ResourceFormatError, match=r"line 5: non-numeric value for 'e'"):
+            load_embeddings(f, 2)
+
+    def test_first_bad_line_of_a_block_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(resources, "CHUNK_ROWS", 4)
+        f = write(tmp_path / "e.txt", "a 1 2 3\nb 1 x 3\nc 1 2\n")
+        with pytest.raises(ResourceFormatError, match=r"line 2: non-numeric value for 'b'"):
+            load_embeddings(f, 3)
+
+    def test_repeated_word_keeps_first_row_but_must_parse(self, tmp_path):
+        f = write(tmp_path / "e.txt", "a 1 2\nb 3 4\na 5 6\n")
+        np.testing.assert_array_equal(load_embeddings(f, 2).lookup("a"), [1.0, 2.0])
+        f = write(tmp_path / "e.txt", "a 1 2\nb 3 4\na 5\n")
+        with pytest.raises(ResourceFormatError, match="line 3: expected 2 values for 'a', got 1"):
+            load_embeddings(f, 2)
+
+    def test_spellings_numpy_rejects_get_float_values(self, tmp_path):
+        f = write(tmp_path / "e.txt", "a 1_0 \uff11 \u0661\nb 1 2 3\n")
+        emb = load_embeddings(f, 3)
+        np.testing.assert_array_equal(emb.lookup("a"), [10.0, 1.0, 1.0])
+        np.testing.assert_array_equal(emb.lookup("b"), [1.0, 2.0, 3.0])
+
+    def test_non_finite_row_of_empty_word_names_its_own_line(self, tmp_path):
+        f = write(tmp_path / "e.txt", "\n 1 nan\n")
+        with pytest.raises(ResourceFormatError, match=r"line 2: non-finite value for ''"):
+            load_embeddings(f, 2)
+
+    @given(case=embedding_files(), chunk=st.sampled_from([2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_line_oracle(self, case, chunk):
+        dim, text = case
+
+        def draw(special):
+            return truncated_normal(stage_rng(3, f"embeddings/{special}"), dim)
+
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(resources, "CHUNK_ROWS", chunk):
+            f = Path(d) / "e.txt"
+            f.write_text(text, encoding="utf-8", newline="")
+            try:
+                words, matrix = load_embeddings_per_line(f, dim, SPECIALS, draw)
+            except ValueError as exc:
+                with pytest.raises(ResourceFormatError) as raised:
+                    load_embeddings(f, dim, seed=3)
+                assert str(raised.value) == str(exc)
+                return
+            emb = load_embeddings(f, dim, seed=3)
+        assert list(emb.index) == words
+        assert emb.matrix.dtype == np.float64 and emb.matrix.shape == matrix.shape
+        assert emb.matrix.tobytes() == matrix.tobytes()
 
 
 class TestThesaurus:
@@ -161,7 +266,10 @@ class TestLoadCorpus:
             "2\tnegword\tnegative\t1 0 1 0 0 0 0 0\n"
         )
         f = write(tmp_path / "c.tsv", text)
-        assert serialize_corpus(load_corpus(f)) == text
+        assert load_corpus(f).examples == [
+            Example("1", ["posword", "joyword"], "positive", (0, 0, 0, 0, 1, 0, 0, 0)),
+            Example("2", ["negword"], "negative", (1, 0, 1, 0, 0, 0, 0, 0)),
+        ]
 
 
 def tiny_embeddings(tmp_path, words, dim=4):
@@ -203,6 +311,16 @@ class TestBuildVocab:
             assert vocab.words[i] == word
             np.testing.assert_array_equal(rows[i], emb.lookup(word))
             assert vocab.id_of(word) == i
+
+    def test_embedding_rows_equal_per_word_lookup(self, fixtures_dir):
+        emb = load_embeddings(fixtures_dir / "embeddings.txt", 16)
+        thes = Thesaurus.from_file(fixtures_dir / "thesaurus.tsv")
+        vocab = build_vocab(load_corpus(fixtures_dir / "corpus_train.tsv"), emb, thes)
+        rows = vocab_embedding_rows(vocab, emb)
+        expected = np.vstack([emb.lookup(w) for w in vocab.words])
+        assert rows.dtype == expected.dtype and rows.shape == expected.shape
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == expected.tobytes()
 
 
 class TestEncodeExample:
