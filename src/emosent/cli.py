@@ -97,6 +97,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     cfg = _load_config(args, required=True)
+    cfg.model_config()
     require_files(cfg, "embeddings", "corpus.train")
     embeddings = _staged(
         "embeddings", load_embeddings, cfg.embeddings, cfg.embed_dim, seed=cfg.seed

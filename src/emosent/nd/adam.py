@@ -13,17 +13,21 @@ on the same state returned.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import Tensor
 
-# Elements per block: the six float64 blocks a block's passes touch
-# (parameter, m, v, gradient, two scratch) take 768 KB. A steady-state step
-# on the 2.08M paper-dims (M2) trainable values, 2-vCPU Xeon with 2 MB of L2
-# per core: 4,096 30 ms, 8,192 to 65,536 24-26 ms; whole-tensor passes 38 ms.
-BLOCK = 16_384
+# Elements per block. A steady-state step on the 2.08M paper-dims (M2)
+# trainable values, 2-vCPU Xeon with 2 MB of L2 per core, single-thread
+# BLAS: on one thread 4,096 30 ms, 8,192 to 65,536 24-27 ms, whole-tensor
+# passes 38 ms; split over two threads (medians of 42) 20-22.6 ms at
+# 16,384 and 15-20 ms at 65,536, where each thread takes the interpreter
+# lock a quarter as often.
+BLOCK = 65_536
 
 
 @dataclass
@@ -75,6 +79,13 @@ def adam_step(
     m = beta1·m + (1-beta1)·g, v = beta2·v + ((1-beta2)·g)·g and
     p - (lr·(m/c1)) / (sqrt(v/c2) + eps), the moments starting from 0.0.
 
+    The tensors are walked in blocks of BLOCK elements. From 2·BLOCK values
+    up, under the rule of `autodiff._two_threads` (two usable CPUs,
+    single-threaded BLAS), the blocks are cut into two runs of nearly equal
+    element counts, and the worker thread updates one run while the calling
+    thread updates the other, each with its own scratch. Every element gets
+    the same arithmetic on either schedule, so the results are bit-identical.
+
     Every gradient's shape is checked before anything is written. The new
     parameters are fresh tensors viewing the state's parameter arena;
     parameters without a gradient entry are carried over as the same
@@ -97,16 +108,17 @@ def adam_step(
     # What the first step adds to (1-beta)·g: beta·0.0, as the moments start at 0.0.
     m0, v0 = beta1 * 0.0, beta2 * 0.0
     p_arena, m_arena, v_arena = state.arenas
-    scratch, step = np.empty(BLOCK), np.empty(BLOCK)
-    new_params = dict(params)
+    pieces = []
     for name, grad in checked.items():
-        g = grad.reshape(-1)
-        source = params[name].data.reshape(-1)
+        g, source = grad.reshape(-1), params[name].data.reshape(-1)
         start = state.slots[name].start
-        for lo in range(0, g.size, BLOCK):
-            hi = min(lo + BLOCK, g.size)
-            gb, a, b = g[lo:hi], scratch[: hi - lo], step[: hi - lo]
-            at = slice(start + lo, start + hi)
+        pieces += [(g[lo : lo + BLOCK], source[lo : lo + BLOCK],
+                    slice(start + lo, start + min(lo + BLOCK, g.size)))
+                   for lo in range(0, g.size, BLOCK)]
+
+    def update(run, scratch, step):
+        for gb, pb, at in run:
+            a, b = scratch[: gb.size], step[: gb.size]
             m, v = m_arena[at], v_arena[at]
             np.multiply(gb, 1.0 - beta1, out=a)
             if first:
@@ -127,7 +139,22 @@ def adam_step(
             np.divide(m, c1, out=b)
             b *= lr
             b /= a
-            np.subtract(source[lo:hi], b, out=p_arena[at])
+            np.subtract(pb, b, out=p_arena[at])
+
+    # Two runs of nearly equal element counts, cut between pieces; on the
+    # serial schedule they run one after the other with the same scratch.
+    sizes = [gb.size for gb, _, _ in pieces]
+    ends = list(itertools.accumulate(sizes, initial=0))
+    cut = min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1]))
+    parallel = autodiff._two_threads(ends[-1], 2 * BLOCK)
+    scratch = np.empty((4 if parallel else 2, max(sizes, default=0)))
+    autodiff._both(
+        lambda: update(pieces[:cut], scratch[0], scratch[1]),
+        lambda: update(pieces[cut:], scratch[-2], scratch[-1]),
+        parallel,
+    )
+    new_params = dict(params)
+    for name, grad in checked.items():
         new_params[name] = Tensor(
             p_arena[state.slots[name]].reshape(grad.shape),
             requires_grad=params[name].requires_grad,

@@ -5,15 +5,19 @@ primitives the sequence model needs (among them fused ops for an affine
 layer, masked attention, attention pooling and a bidirectional LSTM, each
 one tape entry for a whole batch of sequences), and a tape that records
 ops in execution order (which is already a topological order) and replays
-them backwards. Ops record on the calling thread only; `bilstm` may run
-one of its two directions on a worker thread, but records one entry.
+them backwards. Ops record on the calling thread only; `bilstm`, the
+backward pass of `affine` and `adam_step` may hand half their work to one
+worker thread (see `_two_threads`), but each op records one entry.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -185,7 +189,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """x @ W + b for one vector x or each row of a matrix x, as one tape entry."""
+    """x @ W + b for one vector x or each row of a matrix x, as one tape entry.
+
+    When x is a matrix that needs a gradient and rows·in·out is at least
+    AFFINE_PARALLEL_MIN_WORK, the backward pass forms g @ W.T on the worker
+    thread while the calling thread forms x.T @ g, under the rule of
+    `_two_threads`. Both are the same GEMMs on either schedule, written into
+    arrays the calling thread allocated, so the results are bit-identical.
+    """
     if x.data.ndim not in (1, 2) or W.data.ndim != 2 or (x.shape[-1], *b.shape) != W.shape:
         raise ShapeError(f"affine: need x [.., in], W [in, out], b [out], got {x, W, b}")
     xd, wd = x.data, W.data
@@ -194,6 +205,10 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         if xd.ndim == 1:
             return wd @ g, np.outer(xd, g), g
+        if x.requires_grad and _two_threads(xd.shape[0] * wd.size, AFFINE_PARALLEL_MIN_WORK):
+            d_x, d_w = np.empty_like(xd), np.empty_like(wd)
+            _both(lambda: np.matmul(g, wd.T, out=d_x), lambda: np.matmul(xd.T, g, out=d_w), True)
+            return d_x, d_w, g.sum(axis=0)
         return g @ wd.T, xd.T @ g, g.sum(axis=0)
 
     return _record(out, (x, W, b), bwd)
@@ -468,6 +483,14 @@ def _run_direction(x_all, w, u, bias, lengths, reverse, out):
 # batch gains from H=64 on, so one sequence sets the bound.
 PARALLEL_MIN_HIDDEN = 128
 
+# Smallest rows·in·out at which `affine`'s backward forms its two GEMMs on
+# two threads. Below it the hand-off to the worker costs more than the
+# second core saves. One backward pass, single-thread BLAS, 2-vCPU x86 host,
+# median of 41, serial -> two threads: rows·in·out 1.3e5 30 -> 180 us,
+# 2.1e6 300 -> 420 us, 4e6 to 1.8e7 either side of even from run to run,
+# 4.05e7 (300x900x150) 6.1 -> 4.7 ms, 5.4e7 (300x600x300) 7.2 -> 5.1 ms.
+AFFINE_PARALLEL_MIN_WORK = 1 << 24
+
 # The one worker thread, started on first use.
 _worker: ThreadPoolExecutor | None = None
 _worker_lock = threading.Lock()
@@ -489,10 +512,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS bundled with numpy, or None
+    when there is no such library (numpy built against another BLAS)."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas64_-*.so")):
+        try:
+            getter = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """How many threads BLAS runs one product on, or None if unknown."""
+    getter = _blas_thread_getter()
+    return None if getter is None else getter()
+
+
+def _two_threads(work: int, floor: int) -> bool:
+    """The rule every two-thread schedule in `nd` follows: hand half the work
+    to the worker thread only when the work is at least `floor`, this
+    process may run on two CPUs, and BLAS runs one thread (or its thread
+    count is unknown). A multi-threaded BLAS already spreads each product
+    over the cores, and a worker would compete with its threads."""
+    return work >= floor and _usable_cpus() >= 2 and _blas_threads() in (None, 1)
+
+
 def _run_directions_in_parallel(hidden: int) -> bool:
     """Whether `bilstm` runs its directions on two threads: directions at
-    least PARALLEL_MIN_HIDDEN wide and two CPUs this process may run on."""
-    return hidden >= PARALLEL_MIN_HIDDEN and _usable_cpus() >= 2
+    least PARALLEL_MIN_HIDDEN wide, under the rule of `_two_threads`."""
+    return _two_threads(hidden, PARALLEL_MIN_HIDDEN)
 
 
 def _both(first: Callable, second: Callable, parallel: bool) -> tuple:
@@ -532,11 +585,11 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
     and bw's W, U and b; that of xs is None, and its two [N, 4H] x [4H, in]
     GEMMs are skipped, when `xs` needs no gradient.
 
-    The directions share no state. From H = PARALLEL_MIN_HIDDEN up, with at
-    least two usable CPUs, the forward direction runs on one worker thread
-    while the calling thread runs the backward one, in both passes. Each
-    direction does the same arithmetic on either schedule, so the results
-    are bit-identical.
+    The directions share no state. From H = PARALLEL_MIN_HIDDEN up, under
+    the rule of `_two_threads` (two usable CPUs, single-threaded BLAS), the
+    forward direction runs on the worker thread while the calling thread
+    runs the backward one, in both passes. Each direction does the same
+    arithmetic on either schedule, so the results are bit-identical.
     """
     fw, bw = tuple(fw), tuple(bw)
     if (

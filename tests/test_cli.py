@@ -153,6 +153,26 @@ class TestTrainCommand:
             one, two = ((tmp_path / t / artifact).read_bytes() for t in ("1", "2"))
             assert one == two, artifact
 
+    def test_artifacts_do_not_depend_on_blas_threads_past_every_floor(self, tmp_path):
+        # H = 128, 720,586 trainable values and a sentence-attention affine
+        # of about 3e7 rows·in·out: every two-thread schedule runs under one
+        # BLAS thread, and none under two.
+        artifacts = ("checkpoint.bin", "metrics.txt", "train_log.txt")
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            config = write_config(tmp_path / f"{threads}.cfg", out, epochs=3, dropout=0.2,
+                                  lstm_hidden=128, context_dim=1024, batch_size=32)
+            path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            proc = subprocess.run(
+                [sys.executable, "-m", "emosent.cli", "train", "--config", str(config)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+        for artifact in artifacts:
+            one, two = ((tmp_path / t / artifact).read_bytes() for t in ("1", "2"))
+            assert one == two, artifact
+
     def test_seed_flag_overrides_config(self, tmp_path):
         for seed_args in ([], ["--seed", "1"]):
             out = tmp_path / ("base" if not seed_args else "override")
@@ -282,6 +302,14 @@ class TestPreprocessAndVocabCommands:
         assert entrypoint(["build-vocab", "--config", str(config)]) == 2
         assert f"line {bad_line}: expected 16 values for 'broken', got 3" in capsys.readouterr().err
         assert not (tmp_path / "out" / "vocab.txt").exists()
+
+
+    @pytest.mark.parametrize("key", ["embed_dim", "dt_k"])
+    def test_build_vocab_names_bad_model_key(self, tmp_path, capsys, key):
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", **{key: 0})
+        assert entrypoint(["build-vocab", "--config", str(config)]) == 2
+        assert f"{key} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReportCommand:

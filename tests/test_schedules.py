@@ -1,21 +1,31 @@
 """`nd.bilstm` gives bit-identical results on either schedule: its two
 directions one after the other on the calling thread, or the forward one on
-the worker thread at the same time. On both, a frozen input of `nd.bilstm`
-or `nd.attend` gets no gradient and changes no other one."""
+the worker thread at the same time. So do `nd.affine`'s backward pass and
+`nd.adam_step`, and a whole training run. On both, a frozen input of
+`nd.bilstm` or `nd.attend` gets no gradient and changes no other one. The
+schedule follows one rule (`autodiff._two_threads`), which keeps everything
+serial under multi-threaded BLAS."""
 import multiprocessing
+import os
 import queue
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from emosent import nd
 from emosent.model import init_parameters
-from emosent.nd import autodiff
+from emosent.nd import adam, autodiff
 from emosent.train import TrainConfig, train
 
 from conftest import small_config
+from oracles import adam_step_per_tensor
 
+# The real rule and hand-off, which the recorders below wrap.
+RULE, BOTH = autodiff._two_threads, autodiff._both
 # One hidden size on each side of the crossover.
 HIDDEN_SIZES = [8, autodiff.PARALLEL_MIN_HIDDEN]
 LENGTHS = [4, 1, 6, 1, 3]
@@ -23,6 +33,37 @@ LENGTHS = [4, 1, 6, 1, 3]
 
 def force_schedule(monkeypatch, parallel):
     monkeypatch.setattr(autodiff, "_run_directions_in_parallel", lambda hidden: parallel)
+
+
+def force_every_schedule(monkeypatch, parallel):
+    monkeypatch.setattr(autodiff, "_two_threads", lambda work, floor: parallel)
+
+
+def apply_rule(monkeypatch, blas_threads):
+    """Two usable CPUs and BLAS reporting `blas_threads`; returns the list
+    that collects each (floor, work, decision) the rule then makes."""
+    monkeypatch.setattr(autodiff, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(autodiff, "_blas_threads", lambda: blas_threads)
+    decisions = []
+
+    def recorded(work, floor):
+        decisions.append((floor, work, RULE(work, floor)))
+        return decisions[-1][2]
+
+    monkeypatch.setattr(autodiff, "_two_threads", recorded)
+    return decisions
+
+
+def record_schedules(monkeypatch):
+    """The list that collects the `parallel` flag of every `_both` call."""
+    flags = []
+
+    def recorded(first, second, parallel):
+        flags.append(parallel)
+        return BOTH(first, second, parallel)
+
+    monkeypatch.setattr(autodiff, "_both", recorded)
+    return flags
 
 
 def worker_running():
@@ -75,6 +116,7 @@ def test_trained_parameters_match(hidden, monkeypatch, bundle):
 
 
 def test_schedule_follows_hidden_size(monkeypatch):
+    monkeypatch.setattr(autodiff, "_blas_threads", lambda: 1)
     monkeypatch.setattr(autodiff, "_usable_cpus", lambda: 2)
     assert not autodiff._run_directions_in_parallel(autodiff.PARALLEL_MIN_HIDDEN - 1)
     assert autodiff._run_directions_in_parallel(autodiff.PARALLEL_MIN_HIDDEN)
@@ -153,3 +195,125 @@ def test_frozen_inputs_get_no_gradient(parallel, monkeypatch):
         assert len(grads) == 6 + xs_trainable + keys_trainable
         for name, grad in grads.items():
             assert np.array_equal(grad, reference[name]), name
+
+
+FLOORS = [autodiff.PARALLEL_MIN_HIDDEN, autodiff.AFFINE_PARALLEL_MIN_WORK, 2 * adam.BLOCK]
+
+
+@pytest.mark.parametrize("blas_threads", [None, 1, 2])
+def test_rule_follows_cpus_blas_and_work(blas_threads, monkeypatch):
+    # Unknown BLAS (None) keeps the rule by CPUs alone; two BLAS threads
+    # make every schedule serial.
+    monkeypatch.setattr(autodiff, "_blas_threads", lambda: blas_threads)
+    for cpus in (1, 2):
+        monkeypatch.setattr(autodiff, "_usable_cpus", lambda: cpus)
+        expected = cpus == 2 and blas_threads != 2
+        for floor in FLOORS:
+            assert not autodiff._two_threads(floor - 1, floor)
+            assert autodiff._two_threads(floor, floor) == expected
+        assert autodiff._run_directions_in_parallel(autodiff.PARALLEL_MIN_HIDDEN) == expected
+
+
+def test_blas_probe_reads_pinned_thread_count():
+    if autodiff._blas_thread_getter() is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    path = os.pathsep.join(filter(None, [str(Path(autodiff.__file__).parents[2]),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from emosent.nd import autodiff; print(autodiff._blas_threads())"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "1"
+
+
+def as_bytes(arrays):
+    """Each array's bytes by name: tells -0.0 from 0.0."""
+    return {name: np.asarray(a).tobytes() for name, a in arrays.items()}
+
+
+def test_adam_schedules_match_per_tensor_oracle(monkeypatch):
+    monkeypatch.setattr(adam, "BLOCK", 8)
+    rng = np.random.default_rng(5)
+    params = {
+        "matrix": nd.Tensor(rng.normal(size=(5, 7)), requires_grad=True),
+        "zeros": nd.Tensor([0.0, -0.0, 0.0, -0.0, 1.5], requires_grad=True),
+        "scalar": nd.Tensor(np.array(-0.0), requires_grad=True),
+        "vector": nd.Tensor(rng.normal(size=11), requires_grad=True),
+    }
+    steps = [{
+        "matrix": rng.normal(size=(5, 7)),
+        "zeros": np.array([0.0, -0.0, -0.0, 0.0, -0.0]),
+        "scalar": np.array(-0.0 if t % 2 else rng.normal()),
+        "vector": rng.normal(size=11),
+    } for t in range(4)]
+    results = {}
+    for parallel in (False, True):
+        force_every_schedule(monkeypatch, parallel)
+        flags = record_schedules(monkeypatch)
+        current, state = params, nd.AdamState()
+        for grads in steps:
+            current, state = nd.adam_step(current, grads, state, lr=0.01)
+        assert flags == [parallel] * len(steps)
+        results[parallel] = [as_bytes({n: p.data for n, p in current.items()}),
+                             as_bytes(state.m), as_bytes(state.v)]
+    ref_p, ref_m, ref_v = {n: p.data for n, p in params.items()}, {}, {}
+    for t, grads in enumerate(steps, start=1):
+        ref_p, ref_m, ref_v = adam_step_per_tensor(ref_p, grads, ref_m, ref_v, t, lr=0.01)
+    oracle = [as_bytes(ref_p), as_bytes(ref_m), as_bytes(ref_v)]
+    assert results[False] == results[True] == oracle
+
+
+@pytest.mark.parametrize("x_trainable", [True, False])
+def test_affine_gradients_match(x_trainable, monkeypatch):
+    rng = np.random.default_rng(6)
+    x = nd.Tensor(rng.normal(size=(9, 5)), requires_grad=x_trainable)
+    W = nd.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    b = nd.Tensor(rng.normal(size=4), requires_grad=True)
+    g = rng.normal(size=(9, 4))
+    results = {}
+    for parallel in (False, True):
+        force_every_schedule(monkeypatch, parallel)
+        flags = record_schedules(monkeypatch)
+        with nd.Tape() as tape:
+            nd.affine(x, W, b)
+        results[parallel] = tape.entries[0].backward(g)
+        # A frozen x keeps the serial pair of GEMMs.
+        assert flags == ([True] if parallel and x_trainable else [])
+    for serial, threaded in zip(results[False], results[True]):
+        assert np.array_equal(serial, threaded)
+
+
+def wide_config():
+    """H = 128 and a context width that takes a 32-tweet fixture batch's
+    sentence-attention affine past AFFINE_PARALLEL_MIN_WORK: every op with a
+    two-thread schedule crosses its floor."""
+    return small_config("M2", lstm_hidden=128, context_dim=1024, dropout_rate=0.2)
+
+
+def train_wide(bundle, monkeypatch, blas_threads):
+    decisions = apply_rule(monkeypatch, blas_threads)
+    params = init_parameters(wide_config(), embedding_rows=bundle.embedding_rows, seed=3)
+    trained, _ = train(bundle.train_examples, params,
+                       TrainConfig(batch_size=32, lr=0.01, epochs=2, seed=3), wide_config())
+    assert {floor for floor, work, _ in decisions if work >= floor} == set(FLOORS)
+    return trained, decisions
+
+
+def test_multithreaded_blas_keeps_every_op_serial(bundle, monkeypatch):
+    monkeypatch.setattr(autodiff, "_worker", None)
+    flags = record_schedules(monkeypatch)
+    _, decisions = train_wide(bundle, monkeypatch, blas_threads=2)
+    assert not any(decision for _, _, decision in decisions)
+    assert flags and not any(flags)
+    assert autodiff._worker is None
+
+
+def test_trained_parameters_match_on_every_schedule(bundle, monkeypatch):
+    serial, _ = train_wide(bundle, monkeypatch, blas_threads=2)
+    threaded, decisions = train_wide(bundle, monkeypatch, blas_threads=1)
+    assert {floor for floor, _, decision in decisions if decision} == set(FLOORS)
+    assert worker_running()
+    for name, p in serial.items():
+        assert np.array_equal(p.data, threaded[name].data), name
