@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_atomic
-from .model import ModelConfig, parameter_shapes
+from .model import ModelConfig, is_trainable, parameter_shapes
 from .nd import Tensor
 from .preprocess import SegmentationLexicon
 from .resources import Thesaurus, Vocabulary
@@ -120,7 +120,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: truncated payload at tensor {name!r}")
         data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         data = data.astype(np.float64).reshape(shape)
-        params[name] = Tensor(data, requires_grad=name != "embedding" or config.train_embeddings)
+        params[name] = Tensor(data, requires_grad=is_trainable(name, config))
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")

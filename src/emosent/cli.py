@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed check, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -47,7 +48,7 @@ def _load_config(args, required: bool) -> RunConfig:
     else:
         cfg = load_run_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg
@@ -97,14 +98,13 @@ def cmd_preprocess(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     cfg = _load_config(args, required=True)
-    cfg.model_config()
     require_files(cfg, "embeddings", "corpus.train")
     embeddings = _staged(
-        "embeddings", load_embeddings, cfg.embeddings, cfg.embed_dim, seed=cfg.seed
+        "embeddings", load_embeddings, cfg.embeddings, cfg.model.embed_dim, seed=cfg.train.seed
     )
     thesaurus = _load_thesaurus(cfg)
     corpus = _staged("corpus.train", load_corpus, cfg.corpus_train)
-    vocab = build_vocab(corpus, embeddings, thesaurus, cfg.dt_k)
+    vocab = build_vocab(corpus, embeddings, thesaurus, cfg.model.dt_k)
     out_dir = _ensure_out_dir(cfg)
     target = out_dir / "vocab.txt"
     write_atomic(target, "".join(w + "\n" for w in vocab.words))
@@ -114,25 +114,24 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args, required=True)
-    model_cfg = cfg.model_config()
-    train_cfg = cfg.train_config()
+    model_cfg, train_cfg = cfg.model, cfg.train
     require_files(cfg, "embeddings", "corpus.train")
     embeddings = _staged(
-        "embeddings", load_embeddings, cfg.embeddings, cfg.embed_dim, seed=cfg.seed
+        "embeddings", load_embeddings, cfg.embeddings, model_cfg.embed_dim, seed=train_cfg.seed
     )
     thesaurus = _load_thesaurus(cfg)
     lexicon = _load_lexicon(cfg)
     train_corpus = _staged("corpus.train", load_corpus, cfg.corpus_train)
-    vocab = build_vocab(train_corpus, embeddings, thesaurus, cfg.dt_k)
+    vocab = build_vocab(train_corpus, embeddings, thesaurus, model_cfg.dt_k)
     rows = vocab_embedding_rows(vocab, embeddings)
-    train_examples = encode_corpus(train_corpus, vocab, thesaurus, cfg.dt_k)
+    train_examples = encode_corpus(train_corpus, vocab, thesaurus, model_cfg.dt_k)
     if cfg.corpus_test is not None:
         require_files(cfg, "corpus.test")
         test_corpus = _staged("corpus.test", load_corpus, cfg.corpus_test)
-        eval_examples = encode_corpus(test_corpus, vocab, thesaurus, cfg.dt_k)
+        eval_examples = encode_corpus(test_corpus, vocab, thesaurus, model_cfg.dt_k)
     else:
         eval_examples = train_examples
-    params = init_parameters(model_cfg, embedding_rows=rows, seed=cfg.seed)
+    params = init_parameters(model_cfg, embedding_rows=rows, seed=train_cfg.seed)
     params, log = _staged("train", train_model, train_examples, params, train_cfg, model_cfg)
     report = _staged(
         "evaluate",
@@ -141,7 +140,7 @@ def cmd_train(args) -> int:
         params,
         model_cfg,
         threshold=cfg.threshold,
-        seed=cfg.seed,
+        seed=train_cfg.seed,
         epoch=len(log),
     )
     out_dir = _ensure_out_dir(cfg)
@@ -155,7 +154,7 @@ def cmd_train(args) -> int:
         meta={
             "epochs": len(log),
             "final_loss": log[-1],
-            "seed": cfg.seed,
+            "seed": train_cfg.seed,
             "threshold": cfg.threshold,
         },
     )
@@ -186,7 +185,7 @@ def cmd_evaluate(args) -> int:
         ckpt.params,
         ckpt.config,
         threshold=cfg.threshold,
-        seed=cfg.seed,
+        seed=cfg.train.seed,
     )
     out_dir = _ensure_out_dir(cfg)
     write_report(report, out_dir / "eval_metrics.txt")
@@ -271,7 +270,7 @@ def cmd_gradcheck(args) -> int:
             raise ConfigError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
     failing: list[str] = []
     for mode in modes:
-        report = _gradcheck_mode(mode, cfg.seed)
+        report = _gradcheck_mode(mode, cfg.train.seed)
         status = "ok" if report.ok(GRADCHECK_TOLERANCE) else "FAIL"
         print(
             f"{mode}: max_rel_err={report.max_rel_err:.3e} "

@@ -57,7 +57,7 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def primary_attention_enabled(self) -> bool:
@@ -130,13 +130,18 @@ def init_parameters(
             data = np.concatenate([_draw(seed, f"{name}_{g}", block) for g in "ifgo"], axis=-1)
         else:
             data = _draw(seed, name, shape)
-        trainable = name != "embedding" or config.train_embeddings
-        params[name] = nd.Tensor(data, requires_grad=trainable)
+        params[name] = nd.Tensor(data, requires_grad=is_trainable(name, config))
     return params
 
 
 def _draw(seed: int, name: str, shape) -> np.ndarray:
     return truncated_normal(stage_rng(seed, f"init/{name}"), shape, INIT_STD)
+
+
+def is_trainable(name: str, config: ModelConfig) -> bool:
+    """Every parameter trains except `embedding`, which trains only when
+    config.train_embeddings."""
+    return name != "embedding" or config.train_embeddings
 
 
 def trainable_names(params: Mapping[str, nd.Tensor]) -> list[str]:

@@ -8,6 +8,7 @@ contribute only the emotion term in joint modes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,8 +51,13 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.sentiment_loss_weight < 0 or self.emotion_loss_weight < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("sentiment_loss_weight", "emotion_loss_weight"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.patience is not None and self.patience < 1:
             raise ValueError(f"patience must be at least 1 when set, got {self.patience}")
 

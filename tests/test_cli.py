@@ -84,6 +84,15 @@ class TestTrainCommand:
         assert "threshold must be in (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_nan_learning_rate_fails_before_training(self, tmp_path, capsys):
+        # One batch per run: the parameters Adam leaves NaN are never scored.
+        config = write_config(
+            tmp_path / "run.cfg", tmp_path / "out", lr="nan", epochs=1, batch_size=64
+        )
+        assert entrypoint(["train", "--config", str(config)]) == 2
+        assert "lr must be finite and non-negative, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nan_embedding_fails_before_training(self, tmp_path, capsys):
         rows = (FIXTURES / "embeddings.txt").read_text(encoding="utf-8").splitlines()
         word, *values = rows[1].split(" ")
@@ -181,6 +190,12 @@ class TestTrainCommand:
         base = (tmp_path / "base" / "checkpoint.bin").read_bytes()
         override = (tmp_path / "override" / "checkpoint.bin").read_bytes()
         assert base != override
+
+    def test_negative_seed_flag_names_seed(self, tmp_path, capsys):
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out")
+        assert entrypoint(["train", "--config", str(config), "--seed", "-1"]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPredictCommand:
@@ -304,11 +319,30 @@ class TestPreprocessAndVocabCommands:
         assert not (tmp_path / "out" / "vocab.txt").exists()
 
 
-    @pytest.mark.parametrize("key", ["embed_dim", "dt_k"])
-    def test_build_vocab_names_bad_model_key(self, tmp_path, capsys, key):
-        config = write_config(tmp_path / "run.cfg", tmp_path / "out", **{key: 0})
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param("embed_dim", 0, "embed_dim must be positive", id="embed_dim"),
+            pytest.param("dt_k", 0, "dt_k must be positive", id="dt_k"),
+            pytest.param("dropout", 1.5, "dropout must be in [0, 1)", id="dropout"),
+            pytest.param(
+                "sentiment_loss_weight",
+                -1,
+                "sentiment_loss_weight must be non-negative",
+                id="sentiment_loss_weight",
+            ),
+            pytest.param(
+                "emotion_loss_weight",
+                -1,
+                "emotion_loss_weight must be non-negative",
+                id="emotion_loss_weight",
+            ),
+        ],
+    )
+    def test_build_vocab_names_bad_model_key(self, tmp_path, capsys, key, value, message):
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", **{key: value})
         assert entrypoint(["build-vocab", "--config", str(config)]) == 2
-        assert f"{key} must be positive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

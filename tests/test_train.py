@@ -49,6 +49,10 @@ class TestTrainConfig:
             {"sentiment_loss_weight": -1.0},
             {"emotion_loss_weight": -1.0},
             {"patience": 0},
+            {"lr": math.nan},
+            {"lr": math.inf},
+            {"lr": -0.5},
+            {"seed": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
