@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -74,17 +73,20 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(MAGIC):
+    """Read and check a checkpoint. The payload is read once, straight into
+    one float64 arena, and each tensor is a view of it."""
+    with open(path, "rb") as fh:
+        return _read_checkpoint(path, fh)
+
+
+def _read_checkpoint(path, fh) -> Checkpoint:
+    if fh.read(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
-    offset = len(MAGIC)
-    header_len = int.from_bytes(raw[offset : offset + 8], "big")
-    offset += 8
+    header_len = int.from_bytes(fh.read(8), "big")
     try:
-        header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
-    offset += header_len
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {header.get('format_version')!r}"
@@ -112,18 +114,19 @@ def load_checkpoint(path) -> Checkpoint:
             f"missing {sorted(expected.keys() - shapes.keys())}, "
             f"unexpected {sorted(shapes.keys() - expected.keys())}, wrong shapes {wrong}"
         )
-    params: dict[str, Tensor] = {}
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        end = offset + 8 * count
-        if end > len(raw):
-            raise CheckpointError(f"{path}: truncated payload at tensor {name!r}")
-        data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        data = data.astype(np.float64).reshape(shape)
-        params[name] = Tensor(data, requires_grad=is_trainable(name, config))
-        offset = end
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
+    ends = np.cumsum([int(np.prod(shape)) for shape in shapes.values()])
+    arena = np.empty(int(ends[-1]), dtype="<f8")
+    filled = fh.readinto(arena.view(np.uint8)) // 8
+    if filled < arena.size:
+        name = list(shapes)[int(np.searchsorted(ends, filled, side="right"))]
+        raise CheckpointError(f"{path}: truncated payload at tensor {name!r}")
+    trailing = len(fh.read())
+    if trailing:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes")
+    params = {
+        name: Tensor(data.reshape(shape), requires_grad=is_trainable(name, config))
+        for (name, shape), data in zip(shapes.items(), np.split(arena, ends[:-1]))
+    }
     vocab = Vocabulary(words, {w: i for i, w in enumerate(words)})
     return Checkpoint(
         config=config,

@@ -18,7 +18,7 @@ from .artifacts import write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, require_files
 from .model import MODES, ModelConfig, forward, init_parameters
-from .nd import grad_check
+from .nd import grad_check, set_blas_threads
 from .preprocess import SegmentationLexicon, join, normalize
 from .resources import (
     EMOTIONS,
@@ -306,11 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, help_text: str):
+    def command(name: str, func, help_text: str, run_config: bool = True):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="run config file (flat key = value lines)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", help="override the config out_dir")
+        if run_config:
+            p.add_argument("--config", help="run config file (flat key = value lines)")
+            p.add_argument("--seed", type=int, help="override the config seed")
+            p.add_argument("--out", help="override the config out_dir")
         p.set_defaults(func=func)
         return p
 
@@ -320,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("train", cmd_train, "train a model and write all artifacts")
     p = command("evaluate", cmd_evaluate, "score a checkpoint on the test corpus")
     p.add_argument("--checkpoint", help="checkpoint path (default: out_dir/checkpoint.bin)")
-    p = command("predict", cmd_predict, "classify one message with a checkpoint")
+    p = command("predict", cmd_predict, "classify one message with a checkpoint",
+                run_config=False)
     p.add_argument("checkpoint", help="checkpoint file from a train run")
     p.add_argument("text", help="the message to classify")
     p = command("gradcheck", cmd_gradcheck, "verify gradients against finite differences")
@@ -335,15 +337,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def entrypoint(argv=None) -> int:
+    """Run one command; BLAS runs one thread meanwhile (see README, Threads)."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    before = set_blas_threads(1)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if before is not None:
+            set_blas_threads(before)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,10 @@ tensors, lstm_{fw,bw}/W [embed_dim, 4H], U [H, 4H] and b [4H] with
 H = lstm_hidden, whose gates (i, f, g, o) are consecutive H-column blocks;
 both directions are one `nd.bilstm` tape entry per pass, run on two
 threads from H = `nd.autodiff.PARALLEL_MIN_HIDDEN` up when two CPUs are
-usable, with bit-identical results either way.
+usable, with bit-identical results either way. `encode` runs the embedding
+gather and the BiLSTM alone, and `forward` given a batch's states skips
+them, so inference can encode many tweets at once and run the rest of the
+pass per tweet.
 
 Sentiment is decided by argmax over the two sigmoid outputs with index
 order (negative, positive); emotions are thresholded per label at 0.5,
@@ -274,24 +277,53 @@ def predict_emotions(probabilities: np.ndarray) -> np.ndarray:
     return (probabilities >= 0.5).astype(np.int64)
 
 
+def _lengths(examples: list[EncodedExample]) -> list[int]:
+    """Each example's token count; an example without tokens is an error."""
+    for ex in examples:
+        if not ex.token_ids:
+            raise ValueError(f"example {ex.id!r} has no tokens")
+    return [len(ex.token_ids) for ex in examples]
+
+
+def encode(
+    examples,
+    params: Mapping[str, nd.Tensor],
+    config: ModelConfig,
+    dropout: nd.Tensor | None = None,
+) -> nd.Tensor:
+    """The BiLSTM states [N, 2H] of a batch of encoded examples (or one),
+    packed back to back: their tokens' embeddings run through
+    `bilstm_forward`, times the `dropout` mask when one is given."""
+    examples = as_batch(examples)
+    lengths = _lengths(examples)
+    xs = nd.take_rows(params["embedding"], [i for ex in examples for i in ex.token_ids])
+    return bilstm_forward(xs, params, config, lengths, dropout)
+
+
 def forward(
     examples,
     params: Mapping[str, nd.Tensor],
     config: ModelConfig,
     train_mode: bool = False,
     dropout_rng=None,
+    states: nd.Tensor | None = None,
 ) -> ForwardTrace:
     """Run the network on a batch of encoded examples (or one) and record
-    all intermediates."""
+    all intermediates.
+
+    Given the batch's `states`, as `encode` returns them, an inference pass
+    skips the embedding gather and the BiLSTM; a train-mode pass always
+    encodes its own, behind its dropout mask.
+    """
+    if train_mode and states is not None:
+        raise ValueError("a train-mode forward encodes its own states")
     examples = as_batch(examples)
-    for ex in examples:
-        if not ex.token_ids:
-            raise ValueError(f"example {ex.id!r} has no tokens")
-    lengths = [len(ex.token_ids) for ex in examples]
+    lengths = _lengths(examples)
     state_mask, pooled_masks = _dropout_masks(lengths, config, train_mode, dropout_rng)
+    if states is None:
+        states = encode(examples, params, config, state_mask)
+    trace = ForwardTrace(config.mode, states)
     embedding = params["embedding"]
-    xs = nd.take_rows(embedding, [i for ex in examples for i in ex.token_ids])
-    trace = ForwardTrace(config.mode, bilstm_forward(xs, params, config, lengths, state_mask))
     if config.primary_attention_enabled:
         # Candidate lists are padded to the longest one; the stand-in row 0
         # is masked out, so it gets zero weight and zero gradient.

@@ -377,16 +377,16 @@ def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:
     return _record(out, (m,), bwd)
 
 
-def _sequence_layout(lengths: np.ndarray, reverse: bool):
+def _sequence_layout(lengths: np.ndarray):
     """Time-major layout of back-to-back sequences with the given (checked)
-    lengths.
+    lengths, shared by both LSTM directions.
 
     Sequences are sorted by length, longest first (stably), so the ones still
     running at step t are a prefix of those running at t - 1. The layout has
     `batch` rows of zero initial state, then each step's running sequences.
-    Returns the packed row that each step row reads, the layout row of every
-    row's previous step (a state row is its own) and one (start, previous
-    start, count) per step.
+    Returns the packed row that each step row reads, as a (forward,
+    backward) pair, the layout row of every row's previous step (a state row
+    is its own) and one (start, previous start, count) per step.
     """
     rows, batch = int(lengths.sum()), lengths.size
     order = np.argsort(-lengths, kind="stable")
@@ -394,18 +394,19 @@ def _sequence_layout(lengths: np.ndarray, reverse: bool):
     first = (np.cumsum(lengths) - lengths)[order]
     step = np.arange(lens[0])[:, None]
     running = step < lens
-    read = first + (lens - 1 - step if reverse else step)
+    reads = (first + step)[running], (first + lens - 1 - step)[running]
     at = np.empty((lens[0] + 1, batch), dtype=np.intp)
     at[0] = np.arange(batch)
     at[1:][running] = batch + np.arange(rows)
     counts = running.sum(axis=1)
     starts = (batch + np.cumsum(counts) - counts).tolist()
     blocks = list(zip(starts, [0] + starts[:-1], counts.tolist()))
-    return read[running], np.concatenate([at[0], at[:-1][running]]), blocks
+    return reads, np.concatenate([at[0], at[:-1][running]]), blocks
 
 
-def _run_direction(x_all, w, u, bias, lengths, reverse, out):
-    """Run one LSTM direction over the packed rows `x_all` [N, in] and write
+def _run_direction(x_all, w, u, bias, read, prev, blocks, out):
+    """Run one LSTM direction over the packed rows `x_all` [N, in] in the
+    layout `_sequence_layout` gives (`read` is this direction's) and write
     its states into `out` [N, H]; returns the BPTT closure, which maps the
     states' gradient [N, H] to (d_xs, dW, dU, db), d_xs None unless its
     `input_grad` argument is true.
@@ -413,9 +414,14 @@ def _run_direction(x_all, w, u, bias, lengths, reverse, out):
     The gates (i, f, g, o) are consecutive H-column blocks of w [in, 4H],
     u [H, 4H] and bias [4H]. Plain arrays in and out, no tape: `bilstm`
     runs two of these, possibly on two threads.
+
+    BLAS gives a row of a GEMM the same bits whatever the GEMM's row count,
+    from two rows up (see `bilstm_batch_invariant`); numpy sends a one-row
+    product to gemv, whose bits differ. So a one-row product runs as the top
+    row of a two-row GEMM, and a sequence gets the same states in a batch of
+    any size.
     """
     rows, hidden = x_all.shape[0], u.shape[0]
-    read, prev, blocks = _sequence_layout(lengths, reverse)
     batch = blocks[0][2]
     # sigmoid(z) = 0.5 * tanh(z / 2) + 0.5, so one tanh over all four gate
     # blocks of z * half, scaled by half and shifted, gives every activation.
@@ -424,27 +430,37 @@ def _run_direction(x_all, w, u, bias, lengths, reverse, out):
     shift = np.where(half == 0.5, 0.5, 0.0)
     x = x_all[read]
     acts = np.zeros((batch + rows, 4 * hidden))
-    acts[batch:] = x @ w + bias
+    if rows == 1:
+        acts[batch:] = np.dot(np.vstack([x, np.zeros_like(x)]), w)[:1]
+    else:
+        np.dot(x, w, out=acts[batch:])
+    acts[batch:] += bias
     cells = np.zeros((batch + rows, hidden))
     tanh_cells = np.zeros_like(cells)
     states = np.zeros_like(cells)
+    i, f, g, o = (acts[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    product = np.empty((max(batch, 2), 4 * hidden))
     for start, before, n in blocks:
         stop = start + n
         a = acts[start:stop]
-        a += states[before : before + n] @ u
+        # The first step reads the zero initial state, whose product is zero.
+        # A one-row step multiplies one more layout row, the next step's
+        # (still zero) or another sequence's, and drops its product.
+        if before:
+            m = max(n, 2)
+            a += np.dot(states[before : before + m], u, out=product[:m])[:n]
         a *= half
         np.tanh(a, out=a)
         a *= half
         a += shift
-        c = cells[start:stop]
-        np.multiply(a[:, hidden : 2 * hidden], cells[before : before + n], out=c)
-        c += a[:, :hidden] * a[:, 2 * hidden : 3 * hidden]
-        np.tanh(c, out=tanh_cells[start:stop])
-        np.multiply(a[:, 3 * hidden :], tanh_cells[start:stop], out=states[start:stop])
+        c, tanh_c = cells[start:stop], tanh_cells[start:stop]
+        np.multiply(f[start:stop], cells[before : before + n], out=c)
+        c += i[start:stop] * g[start:stop]
+        np.tanh(c, out=tanh_c)
+        np.multiply(o[start:stop], tanh_c, out=states[start:stop])
     out[read] = states[batch:]
 
     def bwd(d_out, input_grad):
-        i, f, g, o = (acts[:, k * hidden : (k + 1) * hidden] for k in range(4))
         # A step's dz is [dc, dc, dc, dh] times these factors of its rows
         # (product rule, then each activation's slope), formed for all rows.
         slopes = acts * (1.0 - acts)
@@ -463,7 +479,8 @@ def _run_direction(x_all, w, u, bias, lengths, reverse, out):
             np.multiply(dc_t[:, None, :], factors[start:stop, :3], out=dz[start:stop, :3])
             np.multiply(dh_t, factors[start:stop, 3], out=dz[start:stop, 3])
             np.multiply(dc_t, f[start:stop], out=dc[before : before + n])
-            dh[before : before + n] += dz[start:stop].reshape(n, 4 * hidden) @ u.T
+            if before:  # the zero initial state's gradient goes unused
+                dh[before : before + n] += dz[start:stop].reshape(n, 4 * hidden) @ u.T
         dz = dz[batch:].reshape(rows, 4 * hidden)
         d_xs = None
         if input_grad:
@@ -513,24 +530,41 @@ def _usable_cpus() -> int:
 
 
 @functools.cache
-def _blas_thread_getter():
-    """The thread-count getter of the OpenBLAS bundled with numpy, or None
-    when there is no such library (numpy built against another BLAS)."""
+def _openblas_function(name: str, argtypes: tuple, restype):
+    """A function of the OpenBLAS bundled with numpy, or None when there is
+    no such library (numpy built against another BLAS) or it lacks `name`."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
             "libscipy_openblas64_-*.so")):
         try:
-            getter = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+            function = getattr(ctypes.CDLL(str(path)), name)
         except (OSError, AttributeError):
             continue
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        return getter
+        function.argtypes, function.restype = list(argtypes), restype
+        return function
     return None
+
+
+def _blas_thread_getter():
+    """The thread-count getter of numpy's bundled OpenBLAS, or None."""
+    return _openblas_function("scipy_openblas_get_num_threads64_", (), ctypes.c_int)
 
 
 def _blas_threads() -> int | None:
     """How many threads BLAS runs one product on, or None if unknown."""
     getter = _blas_thread_getter()
     return None if getter is None else getter()
+
+
+def set_blas_threads(count: int) -> int | None:
+    """Have numpy's bundled OpenBLAS run each product on `count` threads;
+    returns the count it ran before, or None (and changes nothing) when
+    that library or its setter is missing."""
+    setter = _openblas_function("scipy_openblas_set_num_threads64_", (ctypes.c_int,), None)
+    before = _blas_threads()
+    if setter is None or before is None:
+        return None
+    setter(count)
+    return before
 
 
 def _two_threads(work: int, floor: int) -> bool:
@@ -546,6 +580,52 @@ def _run_directions_in_parallel(hidden: int) -> bool:
     """Whether `bilstm` runs its directions on two threads: directions at
     least PARALLEL_MIN_HIDDEN wide, under the rule of `_two_threads`."""
     return _two_threads(hidden, PARALLEL_MIN_HIDDEN)
+
+
+# `bilstm_batch_invariant` checks every GEMM row count from 2 to this, the
+# most sequences `train.evaluate` encodes at once, then a ladder of counts
+# up to its row bound; each count at every offset of PROBE_OFFSETS.
+PROBE_ROWS = 64
+PROBE_OFFSETS = (0, 1, 5)
+
+
+def bilstm_batch_invariant(in_dim: int, hidden: int, rows: int) -> bool:
+    """Whether `bilstm` gives a sequence the same states, bit for bit, alone
+    and in any batch of up to `rows` rows, under the current BLAS thread
+    count; probed once per shape, row bound and thread count.
+
+    `bilstm` forms its products as GEMMs of two or more rows (see
+    `_run_direction`): the input projection [N, in] x [in, 4H] and each
+    step's [n, H] x [H, 4H]. A sequence's states are then the same in every
+    batch when BLAS gives a GEMM row the same bits whatever the GEMM's row
+    count and the row's place in it. OpenBLAS does at the LSTM shapes, but
+    not at every shape (at 600 x 300 a row's bits change with the row
+    count), so the property is probed rather than assumed (He and Thinking
+    Machines Lab, "Defeating Nondeterminism in LLM Inference", 2025).
+    """
+    bound = max(PROBE_ROWS, 1 << (rows - 1).bit_length())
+    threads = _blas_threads()
+    return all(_rows_invariant(inner, 4 * hidden, bound, threads) for inner in {in_dim, hidden})
+
+
+@functools.cache
+def _rows_invariant(inner: int, cols: int, bound: int, threads: int | None) -> bool:
+    """Whether the rows of [m, inner] x [inner, cols] GEMMs equal the same
+    rows of one larger GEMM: every m from 2 to PROBE_ROWS and a ladder of m
+    up to `bound`, at each of PROBE_OFFSETS. `threads`, the BLAS thread
+    count, keys the cache."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((bound + max(PROBE_OFFSETS), inner))
+    b = rng.standard_normal((inner, cols))
+    reference = np.dot(a, b)
+    counts = list(range(2, PROBE_ROWS + 1))
+    while counts[-1] < bound:
+        counts.append(min(bound, counts[-1] * 3 // 2))
+    return all(
+        np.array_equal(np.dot(a[offset : offset + m], b), reference[offset : offset + m])
+        for m in counts
+        for offset in PROBE_OFFSETS
+    )
 
 
 def _both(first: Callable, second: Callable, parallel: bool) -> tuple:
@@ -585,6 +665,10 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
     and bw's W, U and b; that of xs is None, and its two [N, 4H] x [4H, in]
     GEMMs are skipped, when `xs` needs no gradient.
 
+    Every product is a GEMM of two or more rows, a one-row one run as the top
+    row of a two-row GEMM, so when `bilstm_batch_invariant` holds a sequence
+    gets the same states, bit for bit, alone and in any batch.
+
     The directions share no state. From H = PARALLEL_MIN_HIDDEN up, under
     the rule of `_two_threads` (two usable CPUs, single-threaded BLAS), the
     forward direction runs on the worker thread while the calling thread
@@ -610,11 +694,12 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
     hidden = fw[1].shape[0]
     parallel = _run_directions_in_parallel(hidden)
     h = np.empty((xs.shape[0], 2 * hidden))
+    reads, prev, blocks = _sequence_layout(lengths)
 
     def run(direction, reverse):
         w, u, bias = (p.data for p in direction)
         columns = h[:, hidden:] if reverse else h[:, :hidden]
-        return _run_direction(xs.data, w, u, bias, lengths, reverse, columns)
+        return _run_direction(xs.data, w, u, bias, reads[reverse], prev, blocks, columns)
 
     fw_bwd, bw_bwd = _both(lambda: run(fw, False), lambda: run(bw, True), parallel)
     out = Tensor(h)

@@ -176,15 +176,10 @@ class Thesaurus:
     """Ranked similar-word lists keyed by headword."""
 
     def __init__(self, entries: Mapping[str, Sequence[str]]):
-        self.entries: dict[str, list[str]] = {}
-        for word, candidates in entries.items():
-            seen = set()
-            kept = []
-            for cand in candidates:
-                if cand and cand != word and cand not in seen:
-                    seen.add(cand)
-                    kept.append(cand)
-            self.entries[word] = kept
+        self.entries: dict[str, list[str]] = {
+            word: [c for c in dict.fromkeys(candidates) if c and c != word]
+            for word, candidates in entries.items()
+        }
 
     @classmethod
     def from_file(cls, path) -> "Thesaurus":

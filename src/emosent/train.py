@@ -29,11 +29,17 @@ from .model import (
     TASK_EMOTION,
     TASK_SENTIMENT,
     as_batch,
+    encode,
     forward,
     trainable_names,
 )
 from .resources import EncodedExample, OTHER_SENTIMENT, SENTIMENTS
 from .rng import stage_rng
+
+# Tweets per `encode` call in `evaluate`: most of a one-tweet forward is the
+# BiLSTM, whose recurrence reads U once per step, so a chunk of tweets shares
+# each read. `nd.bilstm_batch_invariant` probes at most this many sequences.
+ENCODE_CHUNK = nd.autodiff.PROBE_ROWS
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,18 @@ def train(
     return params, log
 
 
+def _encode_chunk(examples: Sequence[EncodedExample], model_cfg: ModelConfig) -> int:
+    """How many examples `evaluate` encodes per call: ENCODE_CHUNK when the
+    probe finds the BiLSTM batch-invariant up to the largest chunk's rows,
+    so every example's states equal those of a one-example forward, else 1."""
+    rows = max(
+        sum(len(ex.token_ids) for ex in examples[start : start + ENCODE_CHUNK])
+        for start in range(0, len(examples), ENCODE_CHUNK)
+    )
+    invariant = nd.bilstm_batch_invariant(model_cfg.embed_dim, model_cfg.lstm_hidden, rows)
+    return ENCODE_CHUNK if invariant else 1
+
+
 def evaluate(
     examples: Sequence[EncodedExample],
     params: dict[str, nd.Tensor],
@@ -168,8 +186,11 @@ def evaluate(
 ) -> MetricsReport:
     """Score a corpus with a frozen model.
 
-    Sentiment is scored only over gold positive/negative rows; emotion is
-    scored over every row at the given probability threshold.
+    Examples are encoded up to ENCODE_CHUNK at a time, then each runs the
+    rest of `forward` on its own states, so its probabilities are bit-equal
+    to those of a one-example forward (the predict path). Sentiment is
+    scored only over gold positive/negative rows; emotion is scored over
+    every row at the given probability threshold.
     """
     if not examples:
         raise ValueError("evaluate needs a non-empty corpus")
@@ -177,16 +198,21 @@ def evaluate(
     sent_pred: list[int] = []
     emo_gold: list[np.ndarray] = []
     emo_pred: list[np.ndarray] = []
-    for ex in examples:
-        trace = forward(ex, params, model_cfg)
-        if TASK_SENTIMENT in trace.logits and ex.sentiment in SENTIMENTS:
-            sent_gold.append(SENTIMENTS.index(ex.sentiment))
-            sent_pred.append(int(trace.predictions[TASK_SENTIMENT][0]))
-        if TASK_EMOTION in trace.logits:
-            emo_gold.append(ex.emotions.astype(np.int64))
-            emo_pred.append(
-                (trace.probabilities[TASK_EMOTION][0] >= threshold).astype(np.int64)
-            )
+    chunk = _encode_chunk(examples, model_cfg)
+    for start in range(0, len(examples), chunk):
+        batch = examples[start : start + chunk]
+        states = encode(batch, params, model_cfg).data
+        ends = np.cumsum([len(ex.token_ids) for ex in batch])
+        for ex, h in zip(batch, np.split(states, ends[:-1])):
+            trace = forward(ex, params, model_cfg, states=nd.Tensor(h))
+            if TASK_SENTIMENT in trace.logits and ex.sentiment in SENTIMENTS:
+                sent_gold.append(SENTIMENTS.index(ex.sentiment))
+                sent_pred.append(int(trace.predictions[TASK_SENTIMENT][0]))
+            if TASK_EMOTION in trace.logits:
+                emo_gold.append(ex.emotions.astype(np.int64))
+                emo_pred.append(
+                    (trace.probabilities[TASK_EMOTION][0] >= threshold).astype(np.int64)
+                )
     sentiment = (
         sentiment_metrics(sent_gold, sent_pred)
         if TASK_SENTIMENT in model_cfg.tasks

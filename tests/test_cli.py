@@ -182,6 +182,35 @@ class TestTrainCommand:
             one, two = ((tmp_path / t / artifact).read_bytes() for t in ("1", "2"))
             assert one == two, artifact
 
+    def test_artifacts_do_not_depend_on_blas_threads_at_paper_dims(self, tmp_path):
+        # Paper dims on the 32 fixture tweets: word attention's [N, 600] x
+        # [600, 300] GEMM is one that OpenBLAS splits across two threads,
+        # with other bits than on one. The CLI runs BLAS on one thread.
+        rng = np.random.default_rng(0)
+        words = [line.split(" ", 1)[0] for line in
+                 (FIXTURES / "embeddings.txt").read_text(encoding="utf-8").splitlines()]
+        embeddings = tmp_path / "embeddings300.txt"
+        embeddings.write_text("".join(
+            word + " " + " ".join(f"{v:.6f}" for v in rng.normal(size=300)) + "\n"
+            for word in words
+        ), encoding="utf-8")
+        artifacts = ("checkpoint.bin", "metrics.txt", "train_log.txt")
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            config = write_config(tmp_path / f"{threads}.cfg", out, epochs=1, dropout=0.2,
+                                  embeddings=embeddings, embed_dim=300, lstm_hidden=300,
+                                  context_dim=150)
+            path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            proc = subprocess.run(
+                [sys.executable, "-m", "emosent.cli", "train", "--config", str(config)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+        for artifact in artifacts:
+            one, two = ((tmp_path / t / artifact).read_bytes() for t in ("1", "2"))
+            assert one == two, artifact
+
     def test_seed_flag_overrides_config(self, tmp_path):
         for seed_args in ([], ["--seed", "1"]):
             out = tmp_path / ("base" if not seed_args else "override")
@@ -234,6 +263,13 @@ class TestPredictCommand:
     def test_missing_checkpoint(self, tmp_path, capsys):
         assert entrypoint(["predict", str(tmp_path / "no.bin"), "hello"]) == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--seed", "-5"], ["--config", "run.cfg"],
+                                        ["--out", "out"]])
+    def test_run_config_options_are_usage_errors(self, trained, capsys, option):
+        checkpoint = str(trained.out / "checkpoint.bin")
+        assert entrypoint(["predict", checkpoint, "joyword", *option]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emosent import nd
+from emosent.nd import autodiff
 
 from emosent.nd.adam import BLOCK
 from oracles import adam_step_per_tensor, matmul_loops, sigmoid_xent_highprec, softmax_list
@@ -83,6 +84,37 @@ class TestLstm:
         xs, *direction = (nd.Tensor(np.ones(s)) for s in ((3, 5), (5, 8), (2, 8), (8,)))
         with pytest.raises(nd.ShapeError, match="bilstm"):
             nd.bilstm(xs, direction, direction, lengths)
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("in_dim,hidden", [(300, 300), (16, 8)])
+    def test_probe_finds_lstm_products_batch_invariant(self, in_dim, hidden):
+        assert nd.bilstm_batch_invariant(in_dim, hidden, 1000)
+
+    def test_probe_fails_when_a_row_count_changes_the_bits(self, monkeypatch):
+        dot = np.dot
+
+        def drifting(a, b, out=None):
+            product = dot(a, b)
+            return np.nextafter(product, np.inf) if a.shape[0] == 40 else product
+
+        monkeypatch.setattr(np, "dot", drifting)
+        assert not autodiff._rows_invariant(7, 12, 128, None)
+
+    @pytest.mark.parametrize("in_dim,hidden", [(300, 300), (16, 8)])
+    def test_sequence_states_equal_alone_and_in_a_batch(self, in_dim, hidden):
+        rng = np.random.default_rng(2)
+        lengths = [1, 5, 3, 1, 7, 2]
+        xs = rng.normal(size=(sum(lengths), in_dim))
+        fw, bw = ([nd.Tensor(rng.normal(size=s) * 0.1)
+                   for s in ((in_dim, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))]
+                  for _ in range(2))
+        batched = nd.bilstm(nd.Tensor(xs), fw, bw, lengths).data
+        start = 0
+        for n in lengths:
+            alone = nd.bilstm(nd.Tensor(xs[start : start + n]), fw, bw).data
+            assert alone.tobytes() == batched[start : start + n].tobytes()
+            start += n
 
 
 class TestAttentionPool:

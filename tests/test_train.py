@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emosent import nd
+from emosent import train as train_module
 from emosent.model import (
     MODES,
     ForwardTrace,
@@ -18,7 +19,7 @@ from emosent.model import (
     trainable_names,
 )
 from emosent.resources import EncodedExample
-from emosent.train import TrainConfig, evaluate, joint_loss, train
+from emosent.train import ENCODE_CHUNK, TrainConfig, evaluate, joint_loss, train
 
 from conftest import small_config
 
@@ -336,3 +337,81 @@ class TestBatchEquivalence:
             for name, grad, total in zip(names, grads, summed):
                 error = np.abs(grad * len(batch) - total).max()
                 assert error <= 1e-12 * np.abs(total).max() + 1e-15, name
+
+
+PAPER = ModelConfig(mode="M2", embed_dim=300, lstm_hidden=300, context_dim=150, dt_k=4,
+                    dropout_rate=0.6)
+PAPER_PARAMS = init_parameters(PAPER, vocab_size=12, seed=4)
+
+
+def paper_corpus(count, max_len, seed, labels):
+    """`count` tweets of 1 to `max_len` tokens over a 12-word vocabulary,
+    each token with 0 to 4 candidates, labelled from `labels`."""
+    rng = np.random.default_rng(seed)
+    examples = []
+    for i in range(count):
+        tokens = rng.integers(0, 12, int(rng.integers(1, max_len + 1))).tolist()
+        candidates = [rng.integers(0, 12, int(rng.integers(0, 5))).tolist() for _ in tokens]
+        examples.append(EncodedExample(f"t{i}", tokens, candidates, str(rng.choice(labels)),
+                                       rng.integers(0, 2, 8).astype(np.float64)))
+    return examples
+
+
+def evaluated_probabilities(examples):
+    """Each example's probabilities as `evaluate` computes them, and the
+    size of every batch it encodes."""
+    forward_, encode_ = train_module.forward, train_module.encode
+    seen, batches = [], []
+
+    def capture(*args, **kwargs):
+        trace = forward_(*args, **kwargs)
+        seen.append(trace.probabilities)
+        return trace
+
+    def count(batch, *args, **kwargs):
+        batches.append(len(batch))
+        return encode_(batch, *args, **kwargs)
+
+    train_module.forward, train_module.encode = capture, count
+    try:
+        evaluate(examples, PAPER_PARAMS, PAPER)
+    finally:
+        train_module.forward, train_module.encode = forward_, encode_
+    return seen, batches
+
+
+def assert_equal_to_predict(examples, seen):
+    assert len(seen) == len(examples)
+    for ex, evaluated in zip(examples, seen):
+        predicted = forward(ex, PAPER_PARAMS, PAPER).probabilities
+        assert predicted.keys() == evaluated.keys()
+        for task in predicted:
+            assert predicted[task].tobytes() == evaluated[task].tobytes(), (ex.id, task)
+
+
+class TestEvaluateMatchesPredict:
+    """At paper dims, `evaluate` gives each tweet the probabilities of a
+    one-tweet forward (the predict path) bit for bit, whether it encodes
+    tweets in chunks or one at a time."""
+
+    @given(count=st.integers(1, 70), max_len=st.integers(1, 5), seed=st.integers(0, 2**16),
+           labels=st.sampled_from([("negative", "positive", "other"), ("other",)]))
+    # The chunk boundary, a ragged last chunk, all 1-token tweets, and an
+    # all-"other" corpus.
+    @example(count=ENCODE_CHUNK, max_len=3, seed=0, labels=("negative", "positive", "other"))
+    @example(count=ENCODE_CHUNK + 1, max_len=2, seed=1, labels=("negative", "positive"))
+    @example(count=70, max_len=1, seed=2, labels=("other",))
+    @settings(max_examples=15, deadline=None)
+    def test_probabilities_bit_equal_to_one_tweet_forward(self, count, max_len, seed, labels):
+        examples = paper_corpus(count, max_len, seed, labels)
+        seen, batches = evaluated_probabilities(examples)
+        assert batches == [min(ENCODE_CHUNK, count - start)
+                           for start in range(0, count, ENCODE_CHUNK)]
+        assert_equal_to_predict(examples, seen)
+
+    def test_failed_probe_encodes_one_tweet_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(nd, "bilstm_batch_invariant", lambda in_dim, hidden, rows: False)
+        examples = paper_corpus(5, 4, 3, ("negative", "positive", "other"))
+        seen, batches = evaluated_probabilities(examples)
+        assert batches == [1] * 5
+        assert_equal_to_predict(examples, seen)
