@@ -1,8 +1,9 @@
 """Self-describing binary checkpoints with bit-exact round-trips.
 
 Layout: magic line, 8-byte big-endian header length, JSON header (sorted
-keys), then the named tensors as little-endian float64 C-order payloads in
-header order (names sorted). The same model state always serializes to
+keys) padded with trailing spaces so the payload starts at a multiple of
+64 bytes, then the named tensors as little-endian float64 C-order payloads
+in header order (names sorted). The same model state always serializes to
 the same bytes, which is what the determinism guarantees rest on; zip
 containers were rejected because they embed timestamps.
 
@@ -13,13 +14,27 @@ predict path needs no access to the original resource files.
 
 Format version 2 stores each LSTM direction as three gate-stacked tensors
 (version 1 files, with one tensor per gate, are rejected). Loading checks
-the header's config keys against `ModelConfig`, and its tensor names and
-shapes against `parameter_shapes` for that config and vocabulary size.
+every header field's type, the config keys against `ModelConfig`, and the
+tensor names and shapes against `parameter_shapes` for that config and
+vocabulary size; each failure is a `CheckpointError` naming its field.
+
+Loading maps the payload copy-on-write and makes each tensor a view of the
+mapping: tensors are writable, writes never reach the file, and a page is
+read only when first touched. A payload that is not 8-byte aligned, as in
+files written before the header padding, is read into an aligned arena
+instead. A loaded checkpoint keeps its file mapped until its tensors are
+freed, so rewrite that file by rename (`write_atomic`, as
+`save_checkpoint` does), never in place.
 """
 from __future__ import annotations
 
 import json
+import mmap
+import os
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
+from math import prod
 
 import numpy as np
 
@@ -27,11 +42,13 @@ from .artifacts import write_atomic
 from .model import ModelConfig, is_trainable, parameter_shapes
 from .nd import Tensor
 from .preprocess import SegmentationLexicon
-from .resources import Thesaurus, Vocabulary
+from .resources import SPECIALS, Thesaurus, Vocabulary
 
 MAGIC = b"EMOSENT-CHECKPOINT-1\n"
 FORMAT_VERSION = 2
-CONFIG_KEYS = frozenset(f.name for f in fields(ModelConfig))
+PAYLOAD_ALIGN = 64
+HEADER_START = len(MAGIC) + 8
+CONFIG_TYPES = {f.name: type(f.default) for f in fields(ModelConfig)}
 
 
 class CheckpointError(ValueError):
@@ -68,41 +85,44 @@ def save_checkpoint(
         "meta": dict(sorted((meta or {}).items())),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob += b" " * (-(HEADER_START + len(blob)) % PAYLOAD_ALIGN)
     payload = [np.ascontiguousarray(params[n].data, dtype="<f8").tobytes() for n in names]
     write_atomic(path, b"".join([MAGIC, len(blob).to_bytes(8, "big"), blob, *payload]))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and check a checkpoint. The payload is read once, straight into
-    one float64 arena, and each tensor is a view of it."""
+    """Read and check a checkpoint; its tensors view the mapped payload."""
     with open(path, "rb") as fh:
         return _read_checkpoint(path, fh)
 
 
 def _read_checkpoint(path, fh) -> Checkpoint:
+    size = os.fstat(fh.fileno()).st_size
     if fh.read(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
     header_len = int.from_bytes(fh.read(8), "big")
+    if header_len > size - HEADER_START:
+        raise CheckpointError(
+            f"{path}: corrupt header: header length {header_len} exceeds the "
+            f"{max(size - HEADER_START, 0)} bytes after it"
+        )
     try:
         header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
+    if type(header) is not dict:
+        raise CheckpointError(
+            f"{path}: corrupt header: expected an object, got {type(header).__name__}"
+        )
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {header.get('format_version')!r}"
         )
-    stored_config = header.get("config", {})
-    unknown = sorted(stored_config.keys() - CONFIG_KEYS)
-    missing = sorted(CONFIG_KEYS - stored_config.keys())
-    if unknown or missing:
-        raise CheckpointError(f"{path}: config keys unknown {unknown}, missing {missing}")
-    try:
-        config = ModelConfig(**stored_config)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad config: {exc}") from None
-    words = list(header.get("vocab", []))
+    config = _config(path, _field(path, header, "config", dict))
+    words = _field(path, header, "vocab", list)
+    vocab = _vocabulary(path, words)
+    shapes = _tensor_shapes(path, _field(path, header, "tensors", list))
     expected = parameter_shapes(config, len(words))
-    shapes = {entry["name"]: tuple(entry["shape"]) for entry in header.get("tensors", [])}
     if shapes != expected:
         wrong = {
             n: f"{s} not {expected[n]}"
@@ -114,25 +134,94 @@ def _read_checkpoint(path, fh) -> Checkpoint:
             f"missing {sorted(expected.keys() - shapes.keys())}, "
             f"unexpected {sorted(shapes.keys() - expected.keys())}, wrong shapes {wrong}"
         )
-    ends = np.cumsum([int(np.prod(shape)) for shape in shapes.values()])
-    arena = np.empty(int(ends[-1]), dtype="<f8")
-    filled = fh.readinto(arena.view(np.uint8)) // 8
-    if filled < arena.size:
-        name = list(shapes)[int(np.searchsorted(ends, filled, side="right"))]
+    thesaurus = _resource(path, header, "thesaurus", Thesaurus)
+    lexicon = _resource(path, header, "lexicon", SegmentationLexicon)
+    meta = _field(path, header, "meta", dict)
+    # Header order, with the expected shapes: a stored shape may be [2.0, 3].
+    layout = [(name, expected[name]) for name in shapes]
+    ends = list(accumulate(prod(shape) for _, shape in layout))
+    offset = HEADER_START + header_len
+    available, needed = size - offset, 8 * ends[-1]
+    if available < needed:
+        name = layout[bisect_right(ends, available // 8)][0]
         raise CheckpointError(f"{path}: truncated payload at tensor {name!r}")
-    trailing = len(fh.read())
-    if trailing:
-        raise CheckpointError(f"{path}: {trailing} trailing bytes")
+    if available > needed:
+        raise CheckpointError(f"{path}: {available - needed} trailing bytes")
+    if offset % 8:
+        # Unaligned float64 views about double a paper-dims GEMM's time.
+        arena = np.empty(ends[-1], dtype="<f8")
+        fh.readinto(arena.view(np.uint8))
+    else:
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        arena = np.frombuffer(mapped, dtype="<f8", count=ends[-1], offset=offset)
     params = {
-        name: Tensor(data.reshape(shape), requires_grad=is_trainable(name, config))
-        for (name, shape), data in zip(shapes.items(), np.split(arena, ends[:-1]))
+        name: Tensor(arena[start:end].reshape(shape), requires_grad=is_trainable(name, config))
+        for (name, shape), start, end in zip(layout, [0, *ends], ends)
     }
-    vocab = Vocabulary(words, {w: i for i, w in enumerate(words)})
-    return Checkpoint(
-        config=config,
-        params=params,
-        vocab=vocab,
-        thesaurus=Thesaurus(header.get("thesaurus", {})),
-        lexicon=SegmentationLexicon(header.get("lexicon", {})),
-        meta=header.get("meta", {}),
-    )
+    return Checkpoint(config, params, vocab, thesaurus, lexicon, meta)
+
+
+_JSON_TYPES = {dict: "an object", list: "a list"}
+
+
+def _field(path, header: dict, key: str, kind: type):
+    """A header field of JSON type `kind`; absent fields are empty."""
+    value = header.get(key, kind())
+    if type(value) is not kind:
+        raise CheckpointError(
+            f"{path}: {key}: expected {_JSON_TYPES[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _resource(path, header: dict, key: str, cls):
+    """Build a Thesaurus or SegmentationLexicon from its header field."""
+    try:
+        return cls(_field(path, header, key, dict))
+    except TypeError as exc:
+        raise CheckpointError(f"{path}: {key}: {exc}") from None
+
+
+def _config(path, stored: dict) -> ModelConfig:
+    unknown = sorted(stored.keys() - CONFIG_TYPES.keys())
+    missing = sorted(CONFIG_TYPES.keys() - stored.keys())
+    if unknown or missing:
+        raise CheckpointError(f"{path}: config keys unknown {unknown}, missing {missing}")
+    for key, kind in CONFIG_TYPES.items():
+        value = stored[key]
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise CheckpointError(f"{path}: config.{key}: expected {kind.__name__}, got {value!r}")
+    try:
+        return ModelConfig(**stored)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad config: {exc}") from None
+
+
+def _vocabulary(path, words: list) -> Vocabulary:
+    if not set(map(type, words)) <= {str}:
+        bad = next(w for w in words if not isinstance(w, str))
+        raise CheckpointError(f"{path}: vocab: entry {bad!r} is not a word")
+    index = {w: i for i, w in enumerate(words)}
+    if len(index) < len(words):
+        raise CheckpointError(f"{path}: vocab: {len(words) - len(index)} repeated words")
+    missing = [w for w in SPECIALS if w not in index]
+    if missing:
+        raise CheckpointError(f"{path}: vocab: missing the special tokens {missing}")
+    return Vocabulary(words, index)
+
+
+def _tensor_shapes(path, entries: list) -> dict[str, tuple]:
+    shapes = {}
+    for i, entry in enumerate(entries):
+        if not (
+            type(entry) is dict
+            and type(entry.get("name")) is str
+            and type(entry.get("shape")) is list
+        ):
+            raise CheckpointError(
+                f"{path}: tensors[{i}]: expected a name and a shape list, got {entry!r}"
+            )
+        shapes[entry["name"]] = tuple(entry["shape"])
+    if len(shapes) < len(entries):
+        raise CheckpointError(f"{path}: tensors: {len(entries) - len(shapes)} repeated names")
+    return shapes

@@ -197,6 +197,12 @@ def cmd_predict(args) -> int:
     if not Path(args.checkpoint).is_file():
         raise ConfigError(f"checkpoint: no such file: {args.checkpoint}")
     ckpt = _staged("checkpoint", load_checkpoint, args.checkpoint)
+    threshold = ckpt.meta.get("threshold", 0.5)
+    if type(threshold) not in (int, float) or not 0.0 < threshold < 1.0:
+        raise ConfigError(
+            f"checkpoint: {args.checkpoint}: meta.threshold: "
+            f"expected a number in (0, 1), got {threshold!r}"
+        )
     if not args.text.strip():
         raise ConfigError("empty input text; pass the message to classify")
     tokens = normalize(args.text, ckpt.lexicon)
@@ -209,7 +215,6 @@ def cmd_predict(args) -> int:
         ckpt.config.dt_k,
     )
     trace = _staged("predict", forward, example, ckpt.params, ckpt.config)
-    threshold = float(ckpt.meta.get("threshold", 0.5))
     print(f"tokens: {join(tokens)}")
     if "sentiment" in trace.probabilities:
         probs = trace.probabilities["sentiment"][0]

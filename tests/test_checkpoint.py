@@ -1,5 +1,6 @@
 """Checkpoint byte format: exact round-trips and corruption detection."""
 import json
+import mmap
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from emosent.checkpoint import (
     CheckpointError,
     FORMAT_VERSION,
+    HEADER_START,
     MAGIC,
     load_checkpoint,
     save_checkpoint,
@@ -142,26 +144,96 @@ class TestCorruptionDetection:
         _, _, path = saved
         cut = tmp_path / "cut.bin"
         cut.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(CheckpointError, match="truncated payload at tensor 'sentiment/u'"):
             load_checkpoint(cut)
 
     def test_trailing_bytes(self, saved, tmp_path):
         _, _, path = saved
         padded = tmp_path / "padded.bin"
         padded.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(CheckpointError, match="trailing"):
+        with pytest.raises(CheckpointError, match="1 trailing bytes"):
             load_checkpoint(padded)
+
+    @pytest.mark.parametrize("length", [2**40, 2**62, 2**64 - 1])
+    def test_header_length_beyond_the_file(self, saved, length):
+        _, _, path = saved
+        raw = path.read_bytes()
+        path.write_bytes(MAGIC + length.to_bytes(8, "big") + raw[HEADER_START:])
+        expected = rf"corrupt header: header length {length} exceeds the {len(raw) - HEADER_START}"
+        with pytest.raises(CheckpointError, match=expected):
+            load_checkpoint(path)
+
+
+def payload_offset(path) -> int:
+    raw = path.read_bytes()
+    return HEADER_START + int.from_bytes(raw[len(MAGIC) : HEADER_START], "big")
 
 
 def rewrite_header(path, edit):
-    """Apply `edit` to a saved checkpoint's parsed header, keeping the payload."""
+    """Apply `edit` to a saved checkpoint's parsed header, keeping the payload.
+    An edit that returns a value replaces the header with it. The header is
+    written without padding, as files from before the padding were."""
     raw = path.read_bytes()
-    start = len(MAGIC) + 8
-    end = start + int.from_bytes(raw[len(MAGIC) : start], "big")
-    header = json.loads(raw[start:end])
-    edit(header)
-    blob = json.dumps(header).encode("utf-8")
+    end = payload_offset(path)
+    header = json.loads(raw[HEADER_START:end])
+    edited = edit(header)
+    blob = json.dumps(header if edited is None else edited).encode("utf-8")
     path.write_bytes(MAGIC + len(blob).to_bytes(8, "big") + blob + raw[end:])
+
+
+def is_mapped(array) -> bool:
+    """Whether `array` views a memory-mapped file."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, memoryview) and isinstance(array.obj, mmap.mmap)
+
+
+class TestMappedLoad:
+    def test_payload_starts_at_a_multiple_of_64(self, saved):
+        _, _, path = saved
+        assert payload_offset(path) % 64 == 0
+        header = path.read_bytes()[HEADER_START : payload_offset(path)]
+        json_end = len(header.rstrip(b" "))
+        assert header[json_end - 1 : json_end] == b"}" and len(header) - json_end < 64
+
+    def test_tensors_are_aligned_writable_views_of_the_file(self, saved):
+        _, _, path = saved
+        before = path.read_bytes()
+        ckpt = load_checkpoint(path)
+        for tensor in ckpt.params.values():
+            assert is_mapped(tensor.data)
+            assert tensor.data.flags.aligned and tensor.data.flags.writeable
+            assert tensor.data.flags.c_contiguous
+        ckpt.params["lstm_fw/U"].data[...] = 7.0
+        assert path.read_bytes() == before
+        assert (ckpt.params["lstm_fw/U"].data == 7.0).all()
+
+    def test_saving_over_a_loaded_checkpoint_keeps_its_tensors(self, saved, bundle):
+        config, params, path = saved
+        ckpt = load_checkpoint(path)
+        loaded = {n: t.data.tobytes() for n, t in ckpt.params.items()}
+        retrained = {n: Tensor(p.data + 1.0) for n, p in params.items()}
+        save_checkpoint(path, config, retrained, bundle.vocab)
+        assert {n: t.data.tobytes() for n, t in ckpt.params.items()} == loaded
+        assert load_checkpoint(path).params["lstm_fw/U"].data.tobytes() != loaded["lstm_fw/U"]
+
+    def test_unpadded_header_loads_bit_identically_by_copy(self, saved, tmp_path):
+        _, params, path = saved
+        raw = path.read_bytes()
+        blob = raw[HEADER_START : payload_offset(path)].rstrip(b" ")
+        if (HEADER_START + len(blob)) % 8 == 0:
+            blob += b" "
+        unpadded = tmp_path / "unpadded.bin"
+        unpadded.write_bytes(
+            MAGIC + len(blob).to_bytes(8, "big") + blob + raw[payload_offset(path) :]
+        )
+        mapped, copied = load_checkpoint(path), load_checkpoint(unpadded)
+        for name, tensor in params.items():
+            assert not is_mapped(copied.params[name].data)
+            assert copied.params[name].data.flags.aligned
+            assert copied.params[name].data.tobytes() == tensor.data.tobytes()
+            assert mapped.params[name].data.tobytes() == tensor.data.tobytes()
+        assert copied.vocab == mapped.vocab and copied.meta == mapped.meta
 
 
 class TestHeaderValidation:
@@ -169,6 +241,64 @@ class TestHeaderValidation:
         _, _, path = saved
         rewrite_header(path, lambda h: h.update(format_version=1))
         with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: [h], r"corrupt header: expected an object, got list"),
+            (lambda h: h.update(config=[]), r"config: expected an object, got list"),
+            (
+                lambda h: h["config"].update(train_embeddings="no"),
+                r"config\.train_embeddings: expected bool, got 'no'",
+            ),
+            (
+                lambda h: h["config"].update(embed_dim=16.5),
+                r"config\.embed_dim: expected int, got 16\.5",
+            ),
+            (
+                lambda h: h["tensors"][0].__delitem__("shape"),
+                r"tensors\[0\]: expected a name and a shape list",
+            ),
+            (lambda h: h["tensors"].append(h["tensors"][0]), r"tensors: 1 repeated names"),
+            (
+                lambda h: h["lexicon"].update(zzq="x"),
+                r"lexicon: count of 'zzq' is not an integer: 'x'",
+            ),
+            (
+                lambda h: h["thesaurus"].update(zzq=5),
+                r"thesaurus: candidates of 'zzq' are not a list of words: 5",
+            ),
+            (
+                lambda h: h["vocab"].__setitem__(slice(0, 5), list(range(5))),
+                r"vocab: entry 0 is not a word",
+            ),
+            (
+                lambda h: h["vocab"].__setitem__(1, "<unk>"),
+                r"vocab: missing the special tokens \['<oov>'\]",
+            ),
+            (lambda h: h["vocab"].append(h["vocab"][-1]), r"vocab: 1 repeated words"),
+            (lambda h: h.update(meta=[1]), r"meta: expected an object, got list"),
+        ],
+        ids=[
+            "header-list",
+            "config-list",
+            "config-bool-as-text",
+            "config-int-as-float",
+            "tensor-without-shape",
+            "tensor-repeated",
+            "lexicon-count-text",
+            "thesaurus-value-number",
+            "vocab-specials-numbers",
+            "vocab-without-oov",
+            "vocab-repeated-word",
+            "meta-list",
+        ],
+    )
+    def test_wrong_typed_field_is_named(self, saved, edit, message):
+        _, _, path = saved
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_unknown_config_key(self, saved):

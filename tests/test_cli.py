@@ -1,4 +1,5 @@
 """End-to-end command behavior through the in-process entry point."""
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from emosent import nd
-from emosent.checkpoint import load_checkpoint, save_checkpoint
+from emosent.checkpoint import HEADER_START, MAGIC, load_checkpoint, save_checkpoint
 from emosent.cli import entrypoint
 from emosent.metrics import parse_metrics
 from emosent.resources import CHUNK_ROWS
@@ -263,6 +264,48 @@ class TestPredictCommand:
     def test_missing_checkpoint(self, tmp_path, capsys):
         assert entrypoint(["predict", str(tmp_path / "no.bin"), "hello"]) == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "length, edit, message",
+        [
+            (2**64 - 1, None, "header length 18446744073709551615 exceeds"),
+            (
+                None,
+                lambda h: h["vocab"].__setitem__(slice(0, 5), list(range(5))),
+                "vocab: entry 0 is not a word",
+            ),
+            (
+                None,
+                lambda h: h["meta"].update(threshold=None),
+                "meta.threshold: expected a number in (0, 1), got None",
+            ),
+            (
+                None,
+                lambda h: h["meta"].update(threshold=float("nan")),
+                "meta.threshold: expected a number in (0, 1), got nan",
+            ),
+        ],
+        ids=["header-length", "vocab", "meta-threshold-null", "meta-threshold-nan"],
+    )
+    def test_malformed_header_exits_2_without_traceback(
+        self, trained, tmp_path, length, edit, message
+    ):
+        raw = (trained.out / "checkpoint.bin").read_bytes()
+        end = HEADER_START + int.from_bytes(raw[len(MAGIC) : HEADER_START], "big")
+        header = json.loads(raw[HEADER_START:end])
+        if edit is not None:
+            edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        broken = tmp_path / "broken.bin"
+        broken.write_bytes(MAGIC + (length or len(blob)).to_bytes(8, "big") + blob + raw[end:])
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "emosent.cli", "predict", str(broken), "joyword"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: checkpoint: {broken}: ") and message in proc.stderr
 
     @pytest.mark.parametrize("option", [["--seed", "-5"], ["--config", "run.cfg"],
                                         ["--out", "out"]])

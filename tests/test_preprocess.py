@@ -166,3 +166,32 @@ class TestLexiconFile:
         bad.write_text("good\t10\nbad\t-30\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"lex\.txt: line 2: count -30 is negative"):
             SegmentationLexicon.from_file(bad)
+
+
+class TestLexiconCounts:
+    def test_counts_merge_by_lowercased_word(self):
+        lex = SegmentationLexicon({"Day": 2, "day": 3, "DAY": 0, "cat": 1})
+        assert lex.counts == {"day": 5, "cat": 1}
+        assert lex.total == 6
+
+    @given(
+        st.dictionaries(
+            st.one_of(st.text(max_size=6), st.text(alphabet="ab\nΣσςİi", max_size=4)),
+            st.integers(-2, 5),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_a_per_word_sum(self, counts):
+        expected = {}
+        for word, count in counts.items():
+            if count > 0:
+                expected[word.lower()] = expected.get(word.lower(), 0) + count
+        lex = SegmentationLexicon(counts)
+        assert lex.counts == expected
+        assert lex.total == max(sum(expected.values()), 1)
+
+    @pytest.mark.parametrize("count", ["x", 2.0, True, None])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(TypeError, match="count of 'day' is not an integer"):
+            SegmentationLexicon({"cat": 1, "day": count})

@@ -208,6 +208,11 @@ class TestThesaurus:
         thes = Thesaurus({"good": ["great", "good", "great", "nice"]})
         assert thes.expand("good", 4) == ["great", "nice"]
 
+    @pytest.mark.parametrize("candidates", [5, "great", ["great", None]])
+    def test_candidates_must_be_a_list_of_words(self, candidates):
+        with pytest.raises(TypeError, match="candidates of 'good' are not a list of words"):
+            Thesaurus({"big": ["large"], "good": candidates})
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_prefix_property(self, fixtures_dir, k):
         thes = Thesaurus.from_file(fixtures_dir / "thesaurus.tsv")
