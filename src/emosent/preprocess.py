@@ -55,16 +55,6 @@ class SegmentationLexicon:
     def __init__(self, counts: Mapping[str, int]):
         """Sum the positive counts per lowercased word; a count that is not
         an integer raises TypeError naming its word."""
-        words, values = "\n".join(counts), counts.values()
-        lowercase = words == words.lower()
-        if lowercase and set(map(type, values)) <= {int} and min(values, default=1) > 0:
-            # Already lowercase with positive counts, as a checkpoint stores
-            # them. str.lower maps each character on its own but a capital
-            # sigma, which always changes, so the joined words are unchanged
-            # only when every word is.
-            self.counts = dict(counts)
-            self.total = max(sum(values), 1)
-            return
         self.counts = {}
         for word, count in counts.items():
             if type(count) is not int:

@@ -18,7 +18,6 @@ single-task sentiment training and sentiment metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -180,22 +179,13 @@ class Thesaurus:
         """Each headword keeps its candidates once, in rank order, without
         blanks or itself. Candidates that are not a list of strings raise
         TypeError naming their headword."""
-        values = entries.values()
-        if not set(map(type, values)) <= {list, tuple} or not set(
-            map(type, chain.from_iterable(values))
-        ) <= {str}:
-            word = next(
-                w
-                for w, c in entries.items()
-                if not isinstance(c, (list, tuple)) or not all(isinstance(x, str) for x in c)
-            )
-            raise TypeError(f"candidates of {word!r} are not a list of words: {entries[word]!r}")
         self.entries: dict[str, list[str]] = {}
         for word, candidates in entries.items():
-            kept = dict.fromkeys(candidates)
-            kept.pop(word, None)
-            kept.pop("", None)
-            self.entries[word] = list(kept)
+            if not isinstance(candidates, (list, tuple)) or not all(
+                isinstance(c, str) for c in candidates
+            ):
+                raise TypeError(f"candidates of {word!r} are not a list of words: {candidates!r}")
+            self.entries[word] = [c for c in dict.fromkeys(candidates) if c and c != word]
 
     @classmethod
     def from_file(cls, path) -> "Thesaurus":

@@ -174,23 +174,6 @@ class TestLexiconCounts:
         assert lex.counts == {"day": 5, "cat": 1}
         assert lex.total == 6
 
-    @given(
-        st.dictionaries(
-            st.one_of(st.text(max_size=6), st.text(alphabet="ab\nΣσςİi", max_size=4)),
-            st.integers(-2, 5),
-            max_size=8,
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_counts_equal_a_per_word_sum(self, counts):
-        expected = {}
-        for word, count in counts.items():
-            if count > 0:
-                expected[word.lower()] = expected.get(word.lower(), 0) + count
-        lex = SegmentationLexicon(counts)
-        assert lex.counts == expected
-        assert lex.total == max(sum(expected.values()), 1)
-
     @pytest.mark.parametrize("count", ["x", 2.0, True, None])
     def test_count_must_be_an_integer(self, count):
         with pytest.raises(TypeError, match="count of 'day' is not an integer"):
