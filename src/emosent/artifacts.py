@@ -1,9 +1,10 @@
-"""All-or-nothing artifact writes.
+"""All-or-nothing artifact writes, and text reads that name their file.
 
 Every file a command produces (checkpoint, metrics, table, train log,
 vocabulary, preprocessed text) is written to a temp file next to its target
 and then renamed over it, so an interrupted or failed write leaves the
-earlier file as it was and never a half-written one.
+earlier file as it was and never a half-written one. Every text file a
+command reads goes through `read_text`.
 """
 from __future__ import annotations
 
@@ -24,3 +25,11 @@ def write_atomic(path, data: str | bytes) -> None:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of `path`; other bytes are a ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_atomic
+from .artifacts import read_text, write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, require_files
 from .model import MODES, ModelConfig, forward, init_parameters
@@ -88,7 +88,7 @@ def cmd_preprocess(args) -> int:
         raise ConfigError(f"input: no such file: {args.input}")
     lexicon = _load_lexicon(cfg)
     out_dir = _ensure_out_dir(cfg)
-    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+    lines = _staged("input", read_text, args.input).splitlines()
     rendered = "".join(join(normalize(line, lexicon)) + "\n" for line in lines)
     target = out_dir / "preprocessed.txt"
     write_atomic(target, rendered)
@@ -299,7 +299,7 @@ def cmd_report(args) -> int:
     path = Path(args.metrics) if args.metrics else Path(cfg.out_dir) / "metrics.txt"
     if not path.is_file():
         raise ConfigError(f"metrics: no such file: {path}")
-    report = _staged("metrics", parse_metrics, path.read_text(encoding="utf-8"))
+    report = _staged("metrics", lambda: parse_metrics(read_text(path)))
     print(render_table(report))
     return 0
 

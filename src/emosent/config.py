@@ -15,6 +15,7 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .artifacts import read_text
 from .model import ModelConfig
 from .train import TrainConfig
 
@@ -79,9 +80,7 @@ def load_run_config(path) -> RunConfig:
     if not Path(path).is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, dict] = {"run": {}, "model": {}, "train": {}}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

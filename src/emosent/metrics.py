@@ -167,6 +167,7 @@ def render_metrics(report: MetricsReport) -> str:
 
 
 def parse_metrics(text: str) -> MetricsReport:
+    """Read back `render_metrics` text; a ValueError names a bad line or key."""
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -176,13 +177,18 @@ def parse_metrics(text: str) -> MetricsReport:
         key, _, raw = line.partition("=")
         values[key.strip()] = raw.strip()
 
-    def f(key: str) -> float:
-        return float(values[key])
+    def f(key: str, kind=float):
+        if key not in values:
+            raise ValueError(f"missing key {key!r}")
+        try:
+            return kind(values[key])
+        except ValueError:
+            raise ValueError(f"{key}: expected {kind.__name__}, got {values[key]!r}") from None
 
     def c(prefix: str) -> Confusion:
         return (
-            (int(values[f"{prefix}.tn"]), int(values[f"{prefix}.fp"])),
-            (int(values[f"{prefix}.fn"]), int(values[f"{prefix}.tp"])),
+            (f(f"{prefix}.tn", int), f(f"{prefix}.fp", int)),
+            (f(f"{prefix}.fn", int), f(f"{prefix}.tp", int)),
         )
 
     def cls(prefix: str) -> ClassPRF:
@@ -203,12 +209,10 @@ def parse_metrics(text: str) -> MetricsReport:
             {label: cls(f"emotion.{label}") for label in EMOTIONS},
             cls("emotion.micro"),
         )
-    mode = values["meta.mode"]
+    mode = f("meta.mode", str)
     if mode.startswith("'") and mode.endswith("'"):
         mode = mode[1:-1]
-    return MetricsReport(
-        mode, int(values["meta.seed"]), int(values["meta.epoch"]), sentiment, emotion
-    )
+    return MetricsReport(mode, f("meta.seed", int), f("meta.epoch", int), sentiment, emotion)
 
 
 def render_table(report: MetricsReport) -> str:

@@ -2,10 +2,11 @@
 
 Per task the pipeline is: token embeddings -> BiLSTM states h_t -> word
 attention over thesaurus candidate embeddings (modes S2/E2/M2) giving
-hhat_t = concat(mix_t, h_t) -> sentence attention pooling the sequence ->
-one affine sigmoid head. Modes S*/E* run one task, M* run both off the
-same encoder states. The pooled width is embed_dim + 2*lstm_hidden with
-word attention on, 2*lstm_hidden with it off.
+hhat_t = concat(mix_t, h_t) -> sentence attention pooling the sequence
+with weights softmax_t(u · tanh(W_s hhat_t + b_s)) -> one affine sigmoid
+head. Modes S*/E* run one task, M* run both off the same encoder states.
+The pooled width is embed_dim + 2*lstm_hidden with word attention on,
+2*lstm_hidden with it off.
 
 A pass runs on a batch of tweets packed back to back: the N tokens of its
 B examples are the rows of [N, ·] matrices, so each row-wise layer is a few
@@ -248,12 +249,11 @@ def secondary_attention(
     hhat: nd.Tensor, params: Mapping[str, nd.Tensor], task: str, lengths=None
 ) -> tuple[np.ndarray, nd.Tensor]:
     """Sentence attention: score each row of `hhat` [N, P] with the task
-    context vector, normalize the scores within each sequence of the given
-    `lengths` (default: one non-empty sequence), and return the weights [N]
-    with the pooled vectors [B, P]."""
+    context vector, u · tanh(W_s hhat_t + b_s), normalize the scores within
+    each sequence of the given `lengths` (default: one non-empty sequence),
+    and return the weights [N] with the pooled vectors [B, P]."""
     W_s, b_s, u = (params[f"{task}/{n}"] for n in ("W_s", "b_s", "u"))
-    scores = nd.matmul(nd.tanh(nd.affine(hhat, W_s, b_s)), u)
-    pooled, alpha = nd.attention_pool(scores, hhat, lengths)
+    pooled, alpha = nd.attention_pool(nd.tanh(nd.affine(hhat, W_s, b_s)), u, hhat, lengths)
     return alpha, pooled
 
 

@@ -167,27 +167,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product with numpy dot rules for 1-D and 2-D operands."""
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul: only 1-D/2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-    out = Tensor(np.dot(ad, bd))
-
-    def bwd(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        return g * bd, g * ad
-
-    return _record(out, (a, b), bwd)
-
-
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W + b for one vector x or each row of a matrix x, as one tape entry.
 
@@ -283,24 +262,28 @@ def _split_lengths(op: str, lengths, rows: int) -> np.ndarray:
     return lengths
 
 
-def attention_pool(scores: Tensor, values: Tensor, lengths=None) -> tuple[Tensor, np.ndarray]:
-    """Softmax-weighted sum of each segment of rows.
+def attention_pool(
+    keys: Tensor, context: Tensor, values: Tensor, lengths=None
+) -> tuple[Tensor, np.ndarray]:
+    """Softmax-weighted sum of each segment of rows, row n scored keys[n] · context.
 
-    `lengths` splits the rows of `scores` [N] and `values` [N, P] into
+    `lengths` splits the rows of `keys` [N, C] and `values` [N, P] into
     back-to-back segments (default: one segment of all N). Each segment's
     scores are normalized with a max-subtracted softmax and its rows of
     `values` are mixed with those weights. Returns the pooled rows [B, P]
     as one tape entry and the weights [N] as a plain array.
     """
-    if scores.data.ndim != 1 or values.data.ndim != 2 or values.shape[0] != scores.size:
+    fits = keys.data.ndim == 2 and context.data.ndim == 1 and values.data.ndim == 2
+    if not fits or keys.shape[1] != context.size or values.shape[0] != keys.shape[0]:
         raise ShapeError(
-            "attention_pool: need scores [N] and values [N, P], got "
-            f"{scores.shape}, {values.shape}"
+            "attention_pool: need keys [N, C], context [C] and values [N, P], got "
+            f"{keys.shape}, {context.shape}, {values.shape}"
         )
-    lengths = _split_lengths("attention_pool", lengths, scores.size)
+    lengths = _split_lengths("attention_pool", lengths, keys.shape[0])
     starts = np.cumsum(lengths) - lengths
     segment = np.repeat(np.arange(lengths.size), lengths)
-    s, v = scores.data, values.data
+    k, c, v = keys.data, context.data, values.data
+    s = np.dot(k, c)
     e = np.exp(s - np.maximum.reduceat(s, starts)[segment])
     weights = e / np.add.reduceat(e, starts)[segment]
     out = Tensor(np.add.reduceat(weights[:, None] * v, starts, axis=0))
@@ -309,9 +292,10 @@ def attention_pool(scores: Tensor, values: Tensor, lengths=None) -> tuple[Tensor
         g_rows = g[segment]
         d_weights = np.einsum("np,np->n", v, g_rows)
         centred = d_weights - np.add.reduceat(d_weights * weights, starts)[segment]
-        return weights * centred, weights[:, None] * g_rows
+        d_scores = weights * centred
+        return np.outer(d_scores, c), k.T @ d_scores, weights[:, None] * g_rows
 
-    return _record(out, (scores, values), bwd), weights
+    return _record(out, (keys, context, values), bwd), weights
 
 
 def sigmoid_xent(logits: Tensor, targets: Tensor) -> Tensor:
@@ -572,7 +556,9 @@ def _two_threads(work: int, floor: int) -> bool:
     to the worker thread only when the work is at least `floor`, this
     process may run on two CPUs, and BLAS runs one thread (or its thread
     count is unknown). A multi-threaded BLAS already spreads each product
-    over the cores, and a worker would compete with its threads."""
+    over the cores, and a worker would compete with its threads: under two
+    BLAS threads a paper-dims M2 `train()` on 32 tweets took 358 ms serial
+    and 371 ms on this schedule (README, Threads)."""
     return work >= floor and _usable_cpus() >= 2 and _blas_threads() in (None, 1)
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import re
-from pathlib import Path
 from typing import Iterable, Mapping
+
+from .artifacts import read_text
 
 TokenSequence = list[str]
 
@@ -69,7 +70,7 @@ class SegmentationLexicon:
         """Load `word<TAB>count` lines; blank lines are skipped and a negative
         count is an error naming its line."""
         counts: dict[str, int] = {}
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue

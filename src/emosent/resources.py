@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import read_text
 from .rng import stage_rng, truncated_normal
 
 PAD = "<pad>"
@@ -85,7 +86,7 @@ def load_embeddings(path, expected_dim: int, seed: int = 0) -> EmbeddingMatrix:
     are taken from the file when present, otherwise drawn the same way.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     start = 0
     if lines:
         head = lines[0].split()
@@ -191,9 +192,7 @@ class Thesaurus:
     def from_file(cls, path) -> "Thesaurus":
         path = Path(path)
         entries: dict[str, list[str]] = {}
-        for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
@@ -231,9 +230,7 @@ def load_corpus(path) -> Corpus:
     path = Path(path)
     examples: list[Example] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -25,31 +25,6 @@ def softmax_list(scores):
     return [e / z for e in exps]
 
 
-def matmul_loops(a, b):
-    """Triple-loop product with numpy dot semantics for 1-D/2-D operands."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    a2 = a.reshape(1, -1) if a.ndim == 1 else a
-    b2 = b.reshape(-1, 1) if b.ndim == 1 else b
-    m, k = a2.shape
-    k2, n = b2.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            s = 0.0
-            for l in range(k):
-                s += a2[i, l] * b2[l, j]
-            out[i, j] = s
-    if a.ndim == 1 and b.ndim == 1:
-        return float(out[0, 0])
-    if a.ndim == 1:
-        return out[0]
-    if b.ndim == 1:
-        return out[:, 0]
-    return out
-
-
 def sigmoid_xent_highprec(logits, targets) -> float:
     """Mean binary cross-entropy evaluated at 50 decimal digits."""
     with mpmath.workdps(50):

@@ -20,6 +20,17 @@ from conftest import FIXTURES, corrupt_tanh_backward
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def run_cli(*args, **env):
+    """Run `python -m emosent.cli` with `args` in its own process, `env`
+    added to the environment."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "emosent.cli", *args],
+        env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True,
+        timeout=300,
+    )
+
+
 def write_config(path, out_dir, **overrides):
     settings = {
         "corpus.train": FIXTURES / "corpus_train.tsv",
@@ -152,12 +163,7 @@ class TestTrainCommand:
         for threads in ("1", "2"):
             out = tmp_path / threads
             config = write_config(tmp_path / f"{threads}.cfg", out, epochs=3, dropout=0.2)
-            path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
-            proc = subprocess.run(
-                [sys.executable, "-m", "emosent.cli", "train", "--config", str(config)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
+            proc = run_cli("train", "--config", str(config), OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr[-2000:]
         for artifact in artifacts:
             one, two = ((tmp_path / t / artifact).read_bytes() for t in ("1", "2"))
@@ -172,12 +178,7 @@ class TestTrainCommand:
             out = tmp_path / threads
             config = write_config(tmp_path / f"{threads}.cfg", out, epochs=3, dropout=0.2,
                                   lstm_hidden=128, context_dim=1024, batch_size=32)
-            path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
-            proc = subprocess.run(
-                [sys.executable, "-m", "emosent.cli", "train", "--config", str(config)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
+            proc = run_cli("train", "--config", str(config), OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr[-2000:]
         for artifact in artifacts:
             one, two = ((tmp_path / t / artifact).read_bytes() for t in ("1", "2"))
@@ -201,12 +202,7 @@ class TestTrainCommand:
             config = write_config(tmp_path / f"{threads}.cfg", out, epochs=1, dropout=0.2,
                                   embeddings=embeddings, embed_dim=300, lstm_hidden=300,
                                   context_dim=150)
-            path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
-            proc = subprocess.run(
-                [sys.executable, "-m", "emosent.cli", "train", "--config", str(config)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
+            proc = run_cli("train", "--config", str(config), OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr[-2000:]
         for artifact in artifacts:
             one, two = ((tmp_path / t / artifact).read_bytes() for t in ("1", "2"))
@@ -298,11 +294,7 @@ class TestPredictCommand:
         blob = json.dumps(header).encode("utf-8")
         broken = tmp_path / "broken.bin"
         broken.write_bytes(MAGIC + (length or len(blob)).to_bytes(8, "big") + blob + raw[end:])
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "emosent.cli", "predict", str(broken), "joyword"],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_cli("predict", str(broken), "joyword")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: checkpoint: {broken}: ") and message in proc.stderr
@@ -435,6 +427,55 @@ class TestReportCommand:
     def test_missing_metrics_file(self, tmp_path, capsys):
         assert entrypoint(["report", "--metrics", str(tmp_path / "no.txt")]) == 2
         assert "metrics" in capsys.readouterr().err
+
+    def test_metrics_file_without_a_key_exits_2_without_traceback(self, trained, tmp_path):
+        lines = (trained.out / "metrics.txt").read_text(encoding="utf-8").splitlines()
+        metrics = tmp_path / "metrics.txt"
+        metrics.write_text(
+            "".join(line + "\n" for line in lines if not line.startswith("meta.epoch")),
+            encoding="utf-8",
+        )
+        proc = run_cli("report", "--metrics", str(metrics))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: metrics: missing key 'meta.epoch'\n"
+
+
+class TestUnreadableText:
+    """A file that is not UTF-8 is a usage error naming that file."""
+
+    BYTES = b"ok\n\xff\xfe\n"
+
+    def assert_named(self, capsys, bad, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}{bad}: not UTF-8 text (")
+
+    def test_config(self, tmp_path, capsys):
+        bad = tmp_path / "run.cfg"
+        bad.write_bytes(self.BYTES)
+        assert entrypoint(["build-vocab", "--config", str(bad)]) == 2
+        self.assert_named(capsys, bad, "")
+
+    def test_preprocess_input(self, tmp_path, capsys):
+        bad = tmp_path / "raw.txt"
+        bad.write_bytes(self.BYTES)
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out")
+        assert entrypoint(["preprocess", "--config", str(config), str(bad)]) == 2
+        self.assert_named(capsys, bad, "input: ")
+        assert not (tmp_path / "out" / "preprocessed.txt").exists()
+
+    def test_report_metrics(self, tmp_path, capsys):
+        bad = tmp_path / "metrics.txt"
+        bad.write_bytes(self.BYTES)
+        assert entrypoint(["report", "--metrics", str(bad)]) == 2
+        self.assert_named(capsys, bad, "metrics: ")
+
+    def test_corpus(self, tmp_path, capsys):
+        bad = tmp_path / "train.tsv"
+        bad.write_bytes(self.BYTES)
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", **{"corpus.train": bad})
+        assert entrypoint(["build-vocab", "--config", str(config)]) == 2
+        self.assert_named(capsys, bad, "corpus.train: ")
 
 
 class TestUsage:

@@ -138,3 +138,23 @@ class TestReportFiles:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_metrics("not a metrics line\n")
+
+    @pytest.mark.parametrize(
+        "key",
+        ["meta.epoch", "meta.mode", "sentiment.confusion.tp", "emotion.fear.confusion.fn",
+         "emotion.micro.recall"],
+    )
+    def test_missing_key_is_named(self, key):
+        lines = render_metrics(example_report("M2")).splitlines()
+        text = "\n".join(line for line in lines if not line.startswith(f"{key} ="))
+        with pytest.raises(ValueError, match=f"^missing key '{key}'$"):
+            parse_metrics(text)
+
+    def test_sentiment_without_confusion_cells_names_the_first(self):
+        with pytest.raises(ValueError, match="^missing key 'sentiment.confusion.tn'$"):
+            parse_metrics("sentiment.macro_f1 = 0.5\n")
+
+    def test_wrong_kind_of_value_is_named(self):
+        text = render_metrics(example_report("S2")).replace("meta.seed = 3", "meta.seed = 3.5")
+        with pytest.raises(ValueError, match=r"^meta.seed: expected int, got '3.5'$"):
+            parse_metrics(text)

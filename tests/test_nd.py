@@ -10,51 +10,11 @@ from emosent import nd
 from emosent.nd import autodiff
 
 from emosent.nd.adam import BLOCK
-from oracles import adam_step_per_tensor, matmul_loops, sigmoid_xent_highprec, softmax_list
+from oracles import adam_step_per_tensor, sigmoid_xent_highprec, softmax_list
 
 finite_vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=12
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        eye = nd.Tensor(np.eye(2))
-        m = nd.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(nd.matmul(eye, m).data, m.data)
-
-    def test_hand_arithmetic(self):
-        out = nd.matmul(nd.Tensor([[1.0, 2.0]]), nd.Tensor([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out.data, [[11.0]])
-
-    def test_matches_triple_loop_oracle_exactly(self):
-        rng = np.random.default_rng(7)
-        # Quarter-integer entries keep every product and partial sum exact,
-        # so loop order cannot introduce rounding differences.
-        a = rng.integers(-8, 9, size=(3, 4)) / 4.0
-        b = rng.integers(-8, 9, size=(4, 2)) / 4.0
-        out = nd.matmul(nd.Tensor(a), nd.Tensor(b))
-        np.testing.assert_array_equal(out.data, matmul_loops(a, b))
-
-    @pytest.mark.parametrize(
-        "a_shape,b_shape",
-        [((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,))],
-    )
-    def test_vector_operands_follow_dot_semantics(self, a_shape, b_shape):
-        rng = np.random.default_rng(11)
-        a = rng.integers(-8, 9, size=a_shape) / 4.0
-        b = rng.integers(-8, 9, size=b_shape) / 4.0
-        out = nd.matmul(nd.Tensor(a), nd.Tensor(b))
-        np.testing.assert_array_equal(np.asarray(out.data), np.asarray(matmul_loops(a, b)))
-
-    def test_inner_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(nd.ShapeError) as err:
-            nd.matmul(nd.Tensor(np.ones((2, 3))), nd.Tensor(np.ones((4, 2))))
-        assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
-
-    def test_higher_rank_rejected(self):
-        with pytest.raises(nd.ShapeError):
-            nd.matmul(nd.Tensor(np.ones((2, 2, 2))), nd.Tensor(np.ones((2, 2))))
 
 
 class TestLstm:
@@ -121,7 +81,9 @@ class TestAttentionPool:
     def test_segments_match_softmax_over_their_own_rows(self):
         rng = np.random.default_rng(6)
         scores, values = rng.normal(size=5), rng.normal(size=(5, 3))
-        pooled, weights = nd.attention_pool(nd.Tensor(scores), nd.Tensor(values), [2, 3])
+        pooled, weights = nd.attention_pool(
+            nd.Tensor(scores[:, None]), nd.Tensor([1.0]), nd.Tensor(values), [2, 3]
+        )
         for row, seg in enumerate((slice(0, 2), slice(2, 5))):
             alpha = softmax_list(scores[seg].tolist())
             np.testing.assert_allclose(weights[seg], alpha, rtol=0, atol=1e-15)
@@ -137,8 +99,14 @@ class TestAttentionPool:
         ],
     )
     def test_mismatched_operands_rejected(self, scores, values, lengths):
+        keys = nd.Tensor(np.ones(scores)[:, None])
         with pytest.raises(nd.ShapeError, match="attention_pool"):
-            nd.attention_pool(nd.Tensor(np.ones(scores)), nd.Tensor(np.ones(values)), lengths)
+            nd.attention_pool(keys, nd.Tensor([1.0]), nd.Tensor(np.ones(values)), lengths)
+
+    def test_wrong_shaped_context_rejected(self):
+        keys, context, values = (nd.Tensor(np.ones(s)) for s in ((3, 2), (3,), (3, 2)))
+        with pytest.raises(nd.ShapeError, match=r"attention_pool: .*\(3, 2\), \(3,\), \(3, 2\)"):
+            nd.attention_pool(keys, context, values)
 
 
 class TestAttend:
@@ -191,7 +159,9 @@ class TestSoftmax:
     @staticmethod
     def softmax(scores):
         scores = np.asarray(scores, dtype=np.float64)
-        _, weights = nd.attention_pool(nd.Tensor(scores), nd.Tensor(np.ones((scores.size, 1))))
+        _, weights = nd.attention_pool(
+            nd.Tensor(scores[:, None]), nd.Tensor([1.0]), nd.Tensor(np.ones((scores.size, 1)))
+        )
         return weights
 
     def test_symmetry(self):
