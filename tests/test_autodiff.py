@@ -287,6 +287,31 @@ class TestGradientRules:
         assert np.all(grad_s[2:] == 0.0) and np.all(grad_v[2:] == 0.0)
         assert np.all(grad_s[:2] != 0.0) and np.all(grad_v[:2] != 0.0)
 
+    def test_attention_pool_scores_keys_against_context(self):
+        # The [N, C] @ [C] score product alone: values are constant, so every
+        # gradient flows through scores = keys . context.
+        values = nd.Tensor(RNG.normal(size=(2, 4)))
+        probe = nd.Tensor(RNG.normal(size=4))
+
+        def pool(p):
+            pooled, _ = nd.attention_pool(p["k"], p["c"], values)
+            return pooled
+
+        params = {
+            "k": nd.Tensor(RNG.normal(size=(2, 3)), requires_grad=True),
+            "c": nd.Tensor(RNG.normal(size=3), requires_grad=True),
+        }
+        check_against_central_differences(lambda p: weighted(pool(p), probe), params)
+        # Row n of the keys' gradient is d_scores[n] * context, and the
+        # context's gradient is keys.T @ d_scores for the same d_scores.
+        with nd.Tape() as tape:
+            loss = weighted(pool(params), probe)
+        grad_k, grad_c = tape.gradients(loss, [params["k"], params["c"]])
+        k, c = params["k"].data, params["c"].data
+        d_scores = grad_k @ c / (c @ c)
+        np.testing.assert_allclose(grad_k, np.outer(d_scores, c), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grad_c, k.T @ d_scores, rtol=1e-12, atol=1e-15)
+
     def test_one_layer_model_loss(self):
         x = nd.Tensor(RNG.normal(size=(1, 5)))
         targets = nd.Tensor([[1.0, 0.0]])
