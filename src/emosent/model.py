@@ -15,9 +15,10 @@ pooling read the per-example lengths. The tape entries of a pass grow with
 neither N nor B. Each LSTM direction holds three
 tensors, lstm_{fw,bw}/W [embed_dim, 4H], U [H, 4H] and b [4H] with
 H = lstm_hidden, whose gates (i, f, g, o) are consecutive H-column blocks;
-both directions are one `nd.bilstm` tape entry per pass, run on two
-threads from H = `nd.autodiff.PARALLEL_MIN_HIDDEN` up when two CPUs are
-usable, with bit-identical results either way. `encode` runs the embedding
+both directions are one `nd.bilstm` tape entry per pass, run as one
+interleaved stack on the calling thread, or on two threads from
+H = `nd.autodiff.PARALLEL_MIN_HIDDEN` up when two CPUs are usable, with
+bit-identical results either way. `encode` runs the embedding
 gather and the BiLSTM alone, and `forward` given a batch's states skips
 them, so inference can encode many tweets at once and run the rest of the
 pass per tweet.
@@ -192,24 +193,28 @@ def _dropout_masks(lengths, config: ModelConfig, train_mode: bool, rng):
     """Inverted-dropout masks for the states [N, 2H] and, per task, the
     pooled vectors [B, pooled_dim]; (None, {}) outside train mode.
 
-    Each example draws its state mask and then one pooled mask per task, in
-    that order, so a batch consumes the stream as its examples would one by
-    one.
+    Each example takes its state mask and then one pooled mask per task, in
+    that order, from one draw for the whole batch, so a batch consumes the
+    stream as its examples would one by one (`nd.dropout_mask` calls).
     """
     if not train_mode or config.dropout_rate == 0.0:
         return None, {}
     if rng is None:
         raise ValueError("train-mode forward needs dropout_rng when dropout_rate > 0")
-    state_rows: list[np.ndarray] = []
-    pooled_rows: dict[str, list[np.ndarray]] = {task: [] for task in config.tasks}
-    for n in lengths:
-        state_rows.append(nd.dropout_mask((n, config.encoder_dim), config.dropout_rate, rng).data)
-        for task in config.tasks:
-            pooled_rows[task].append(
-                nd.dropout_mask(config.pooled_dim, config.dropout_rate, rng).data
-            )
-    pooled = {task: nd.Tensor(np.stack(rows)) for task, rows in pooled_rows.items()}
-    return nd.Tensor(np.concatenate(state_rows)), pooled
+    rate, width, pooled_dim = config.dropout_rate, config.encoder_dim, config.pooled_dim
+    sizes = [n * width + len(config.tasks) * pooled_dim for n in lengths]
+    mask = np.where(rng.random(sum(sizes)) >= rate, 1.0 / (1.0 - rate), 0.0)
+    state_rows, pooled_rows = [], []
+    start = 0
+    for n, size in zip(lengths, sizes):
+        state_rows.append(mask[start : start + n * width])
+        pooled_rows.append(mask[start + n * width : start + size])
+        start += size
+    pooled = np.stack(pooled_rows).reshape(len(lengths), len(config.tasks), pooled_dim)
+    return (
+        nd.Tensor(np.concatenate(state_rows).reshape(-1, width)),
+        {task: nd.Tensor(pooled[:, k]) for k, task in enumerate(config.tasks)},
+    )
 
 
 def bilstm_forward(

@@ -7,7 +7,10 @@ one tape entry for a whole batch of sequences), and a tape that records
 ops in execution order (which is already a topological order) and replays
 them backwards. Ops record on the calling thread only; `bilstm`, the
 backward pass of `affine` and `adam_step` may hand half their work to one
-worker thread (see `_two_threads`), but each op records one entry.
+worker thread (see `_two_threads`), but each op records one entry. One
+kernel, `_run_directions`, runs `bilstm`'s LSTM directions on either
+schedule: both as one interleaved stack on the calling thread, or one per
+thread.
 """
 from __future__ import annotations
 
@@ -388,16 +391,25 @@ def _sequence_layout(lengths: np.ndarray):
     return reads, np.concatenate([at[0], at[:-1][running]]), blocks
 
 
-def _run_direction(x_all, w, u, bias, read, prev, blocks, out):
-    """Run one LSTM direction over the packed rows `x_all` [N, in] in the
-    layout `_sequence_layout` gives (`read` is this direction's) and write
-    its states into `out` [N, H]; returns the BPTT closure, which maps the
-    states' gradient [N, H] to (d_xs, dW, dU, db), d_xs None unless its
-    `input_grad` argument is true.
+def _run_directions(x_all, stack, prev, blocks, h):
+    """Run a stack of D LSTM directions over the packed rows `x_all` [N, in]
+    in the layout `_sequence_layout` gives, and write each one's states into
+    its columns of `h` [N, 2H]. Each entry of `stack` is one direction's
+    (W, U, b, read, columns): its parameter arrays, its read order and the
+    slice of columns of `h` it owns. Returns the BPTT closure, which maps the
+    gradient of `h` to (d_xs, [dW, dU, db of each direction]), d_xs None
+    unless its `input_grad` argument is true.
 
-    The gates (i, f, g, o) are consecutive H-column blocks of w [in, 4H],
-    u [H, 4H] and bias [4H]. Plain arrays in and out, no tape: `bilstm`
-    runs two of these, possibly on two threads.
+    The stack is stored interleaved: row r of acts [batch+N, D, 4H] and of
+    cells, tanh-cells and states [batch+N, D, H] holds row r of every
+    direction, so each step's elementwise work for all D directions is one
+    numpy call on a contiguous slab (Appleyard et al., arXiv:1604.01946).
+    Only the products are per direction: the input projection
+    [N, in] x [in, 4H] and each step's [n, H] x [H, 4H], which reads the
+    direction's states in place, D*H apart. The gates (i, f, g, o) are
+    consecutive H-column blocks of W [in, 4H], U [H, 4H] and b [4H]. Plain
+    arrays in and out, no tape: `bilstm` runs one stack of both directions,
+    or one stack of one direction on each of two threads.
 
     BLAS gives a row of a GEMM the same bits whatever the GEMM's row count,
     from two rows up (see `bilstm_batch_invariant`); numpy sends a one-row
@@ -405,25 +417,34 @@ def _run_direction(x_all, w, u, bias, read, prev, blocks, out):
     row of a two-row GEMM, and a sequence gets the same states in a batch of
     any size.
     """
-    rows, hidden = x_all.shape[0], u.shape[0]
+    depth, rows, hidden = len(stack), x_all.shape[0], stack[0][1].shape[0]
     batch = blocks[0][2]
     # sigmoid(z) = 0.5 * tanh(z / 2) + 0.5, so one tanh over all four gate
     # blocks of z * half, scaled by half and shifted, gives every activation.
-    half = np.full(4 * hidden, 0.5)
-    half[2 * hidden : 3 * hidden] = 1.0
+    # Both are tiled to a step's full slab, so each product is one
+    # contiguous loop rather than a broadcast.
+    half = np.full((max(batch, 2), depth, 4 * hidden), 0.5)
+    half[..., 2 * hidden : 3 * hidden] = 1.0
     shift = np.where(half == 0.5, 0.5, 0.0)
-    x = x_all[read]
-    acts = np.zeros((batch + rows, 4 * hidden))
-    if rows == 1:
-        acts[batch:] = np.dot(np.vstack([x, np.zeros_like(x)]), w)[:1]
-    else:
-        np.dot(x, w, out=acts[batch:])
-    acts[batch:] += bias
-    cells = np.zeros((batch + rows, hidden))
+    acts = np.zeros((batch + rows, depth, 4 * hidden))
+    xs = [x_all[read] for _, _, _, read, _ in stack]
+    for d, (x, (w, _, _, _, _)) in enumerate(zip(xs, stack)):
+        # A lone direction's rows are contiguous, so its GEMM writes them in
+        # place; interleaved ones are copied in from the GEMM's own array.
+        if rows > 1 and depth == 1:
+            np.dot(x, w, out=acts[batch:, 0])
+        else:
+            padded = np.vstack([x, np.zeros_like(x)]) if rows == 1 else x
+            acts[batch:, d] = np.dot(padded, w)[:rows]
+    acts[batch:] += [bias for _, _, bias, _, _ in stack]
+    cells = np.zeros((batch + rows, depth, hidden))
     tanh_cells = np.zeros_like(cells)
     states = np.zeros_like(cells)
-    i, f, g, o = (acts[:, k * hidden : (k + 1) * hidden] for k in range(4))
-    product = np.empty((max(batch, 2), 4 * hidden))
+    i, f, g, o = (acts[..., k * hidden : (k + 1) * hidden] for k in range(4))
+    product = np.empty((depth, max(batch, 2), 4 * hidden))
+    step_product = product.swapaxes(0, 1)
+    # Each direction's GEMM operands: U, the states it reads, its product.
+    gemms = [(u, states[:, d], product[d]) for d, (_, u, _, _, _) in enumerate(stack)]
     for start, before, n in blocks:
         stop = start + n
         a = acts[start:stop]
@@ -432,45 +453,65 @@ def _run_direction(x_all, w, u, bias, read, prev, blocks, out):
         # (still zero) or another sequence's, and drops its product.
         if before:
             m = max(n, 2)
-            a += np.dot(states[before : before + m], u, out=product[:m])[:n]
-        a *= half
+            for u, read_states, out in gemms:
+                np.dot(read_states[before : before + m], u, out=out[:m])
+            a += step_product[:n]
+        half_n = half[:n]
+        a *= half_n
         np.tanh(a, out=a)
-        a *= half
-        a += shift
+        a *= half_n
+        a += shift[:n]
         c, tanh_c = cells[start:stop], tanh_cells[start:stop]
         np.multiply(f[start:stop], cells[before : before + n], out=c)
         c += i[start:stop] * g[start:stop]
         np.tanh(c, out=tanh_c)
         np.multiply(o[start:stop], tanh_c, out=states[start:stop])
-    out[read] = states[batch:]
+    for d, (_, _, _, read, columns) in enumerate(stack):
+        h[read, columns] = states[batch:, d]
 
-    def bwd(d_out, input_grad):
+    def bwd(d_h, input_grad):
         # A step's dz is [dc, dc, dc, dh] times these factors of its rows
         # (product rule, then each activation's slope), formed for all rows.
         slopes = acts * (1.0 - acts)
-        slopes[:, 2 * hidden : 3 * hidden] = 1.0 - g * g
-        factors = np.stack([g, cells[prev], i, tanh_cells], axis=1)
-        factors *= slopes.reshape(-1, 4, hidden)
+        slopes[..., 2 * hidden : 3 * hidden] = 1.0 - g * g
+        factors = np.stack([g, cells[prev], i, tanh_cells], axis=2)
+        factors *= slopes.reshape(-1, depth, 4, hidden)
         state_to_cell = o * (1.0 - tanh_cells * tanh_cells)
         dh = np.zeros_like(cells)
-        dh[batch:] = d_out[read]
+        for d, (_, _, _, read, columns) in enumerate(stack):
+            dh[batch:, d] = d_h[read, columns]
         dc = np.zeros_like(cells)
-        dz = np.zeros((batch + rows, 4, hidden))
+        dz = np.zeros((batch + rows, depth, 4, hidden))
+        dz_rows = dz.reshape(batch + rows, depth, 4 * hidden)
+        carried = np.empty((depth, batch, hidden))
+        step_carried = carried.swapaxes(0, 1)
+        # Views sliced once, so each step takes one slice of each.
+        dc_gates, dz_cell, dz_out = dc[:, :, None], dz[:, :, :3], dz[:, :, 3]
+        cell_factors, out_factors = factors[:, :, :3], factors[:, :, 3]
+        gemms = [(u.T, dz_rows[:, d], carried[d]) for d, (_, u, _, _, _) in enumerate(stack)]
         for start, before, n in reversed(blocks):
             stop = start + n
             dh_t, dc_t = dh[start:stop], dc[start:stop]
             dc_t += dh_t * state_to_cell[start:stop]
-            np.multiply(dc_t[:, None, :], factors[start:stop, :3], out=dz[start:stop, :3])
-            np.multiply(dh_t, factors[start:stop, 3], out=dz[start:stop, 3])
+            np.multiply(dc_gates[start:stop], cell_factors[start:stop], out=dz_cell[start:stop])
+            np.multiply(dh_t, out_factors[start:stop], out=dz_out[start:stop])
             np.multiply(dc_t, f[start:stop], out=dc[before : before + n])
             if before:  # the zero initial state's gradient goes unused
-                dh[before : before + n] += dz[start:stop].reshape(n, 4 * hidden) @ u.T
-        dz = dz[batch:].reshape(rows, 4 * hidden)
-        d_xs = None
-        if input_grad:
-            d_xs = np.empty_like(x_all)
-            d_xs[read] = dz @ w.T
-        return d_xs, x.T @ dz, states[prev[batch:]].T @ dz, dz.sum(axis=0)
+                for u_t, dz_d, out in gemms:
+                    np.matmul(dz_d[start:stop], u_t, out=out[:n])
+                dh[before : before + n] += step_carried[:n]
+        d_xs = np.empty_like(x_all) if input_grad else None
+        grads = []
+        for d, (x, (w, _, _, read, _)) in enumerate(zip(xs, stack)):
+            dz_d = dz_rows[batch:, d]
+            if input_grad:
+                # One direction's term, then the other's added to it.
+                if d:
+                    d_xs[read] += dz_d @ w.T
+                else:
+                    d_xs[read] = dz_d @ w.T
+            grads += [x.T @ dz_d, states[prev[batch:], d].T @ dz_d, dz_d.sum(axis=0)]
+        return d_xs, grads
 
     return bwd
 
@@ -578,39 +619,51 @@ PROBE_OFFSETS = (0, 1, 5)
 def bilstm_batch_invariant(in_dim: int, hidden: int, rows: int) -> bool:
     """Whether `bilstm` gives a sequence the same states, bit for bit, alone
     and in any batch of up to `rows` rows, under the current BLAS thread
-    count; probed once per shape, row bound and thread count.
+    count and schedule; probed once per shape, row bound, thread count and
+    stack depth.
 
     `bilstm` forms its products as GEMMs of two or more rows (see
-    `_run_direction`): the input projection [N, in] x [in, 4H] and each
-    step's [n, H] x [H, 4H]. A sequence's states are then the same in every
-    batch when BLAS gives a GEMM row the same bits whatever the GEMM's row
-    count and the row's place in it. OpenBLAS does at the LSTM shapes, but
-    not at every shape (at 600 x 300 a row's bits change with the row
-    count), so the property is probed rather than assumed (He and Thinking
-    Machines Lab, "Defeating Nondeterminism in LLM Inference", 2025).
+    `_run_directions`): the input projection [N, in] x [in, 4H] of
+    contiguous rows, and each step's [n, H] x [H, 4H], whose rows it reads in
+    place from its stack's interleaved states: contiguous for the one
+    direction per thread of the two-thread schedule, 2H apart for the two
+    directions of the serial one. A sequence's states are then the same in
+    every batch when BLAS gives a GEMM row the same bits whatever the GEMM's
+    row count, the row's place in it and the stride between its rows.
+    OpenBLAS does at the LSTM shapes, but not at every shape (at 600 x 300 a
+    row's bits change with the row count), so the property is probed rather
+    than assumed (He and Thinking Machines Lab, "Defeating Nondeterminism in
+    LLM Inference", 2025).
     """
     bound = max(PROBE_ROWS, 1 << (rows - 1).bit_length())
     threads = _blas_threads()
-    return all(_rows_invariant(inner, 4 * hidden, bound, threads) for inner in {in_dim, hidden})
+    depth = 1 if _run_directions_in_parallel(hidden) else 2
+    return _rows_invariant(in_dim, 4 * hidden, bound, threads, 1) and _rows_invariant(
+        hidden, 4 * hidden, bound, threads, depth
+    )
 
 
 @functools.cache
-def _rows_invariant(inner: int, cols: int, bound: int, threads: int | None) -> bool:
+def _rows_invariant(inner: int, cols: int, bound: int, threads: int | None, depth: int) -> bool:
     """Whether the rows of [m, inner] x [inner, cols] GEMMs equal the same
     rows of one larger GEMM: every m from 2 to PROBE_ROWS and a ladder of m
-    up to `bound`, at each of PROBE_OFFSETS. `threads`, the BLAS thread
+    up to `bound`, at each of PROBE_OFFSETS. The rows are read in place from
+    a [rows, depth, inner] slab at each of its `depth` places, as
+    `_run_directions` reads a stack's states. `threads`, the BLAS thread
     count, keys the cache."""
     rng = np.random.default_rng(0)
     a = rng.standard_normal((bound + max(PROBE_OFFSETS), inner))
     b = rng.standard_normal((inner, cols))
     reference = np.dot(a, b)
+    slab = np.repeat(a[:, None], depth, axis=1)
     counts = list(range(2, PROBE_ROWS + 1))
     while counts[-1] < bound:
         counts.append(min(bound, counts[-1] * 3 // 2))
     return all(
-        np.array_equal(np.dot(a[offset : offset + m], b), reference[offset : offset + m])
+        np.array_equal(np.dot(slab[offset : offset + m, d], b), reference[offset : offset + m])
         for m in counts
         for offset in PROBE_OFFSETS
+        for d in range(depth)
     )
 
 
@@ -655,11 +708,14 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
     row of a two-row GEMM, so when `bilstm_batch_invariant` holds a sequence
     gets the same states, bit for bit, alone and in any batch.
 
-    The directions share no state. From H = PARALLEL_MIN_HIDDEN up, under
-    the rule of `_two_threads` (two usable CPUs, single-threaded BLAS), the
-    forward direction runs on the worker thread while the calling thread
-    runs the backward one, in both passes. Each direction does the same
-    arithmetic on either schedule, so the results are bit-identical.
+    The directions share no state. Serial, they run as one stack of two
+    (`_run_directions`), stored interleaved so that each step's elementwise
+    work for both is one numpy call, with one GEMM per direction. From
+    H = PARALLEL_MIN_HIDDEN up, under the rule of `_two_threads` (two usable
+    CPUs, single-threaded BLAS), the forward direction runs as a stack of
+    one on the worker thread while the calling thread runs the backward one,
+    in both passes. Each direction does the same arithmetic on either
+    schedule, so the results are bit-identical.
     """
     fw, bw = tuple(fw), tuple(bw)
     if (
@@ -678,24 +734,25 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
         )
     lengths = _split_lengths("bilstm", lengths, xs.shape[0])
     hidden = fw[1].shape[0]
-    parallel = _run_directions_in_parallel(hidden)
     h = np.empty((xs.shape[0], 2 * hidden))
     reads, prev, blocks = _sequence_layout(lengths)
-
-    def run(direction, reverse):
-        w, u, bias = (p.data for p in direction)
-        columns = h[:, hidden:] if reverse else h[:, :hidden]
-        return _run_direction(xs.data, w, u, bias, reads[reverse], prev, blocks, columns)
-
-    fw_bwd, bw_bwd = _both(lambda: run(fw, False), lambda: run(bw, True), parallel)
+    stack = [(*(p.data for p in fw), reads[0], slice(0, hidden)),
+             (*(p.data for p in bw), reads[1], slice(hidden, 2 * hidden))]
+    parallel = _run_directions_in_parallel(hidden)
+    if parallel:
+        fw_bwd, bw_bwd = _both(lambda: _run_directions(xs.data, stack[:1], prev, blocks, h),
+                               lambda: _run_directions(xs.data, stack[1:], prev, blocks, h), True)
+    else:
+        stack_bwd = _run_directions(xs.data, stack, prev, blocks, h)
     out = Tensor(h)
 
     def bwd(g):
         input_grad = xs.requires_grad
-        (d_xs, *d_fw), (d_xs_bw, *d_bw) = _both(
-            lambda: fw_bwd(g[:, :hidden], input_grad),
-            lambda: bw_bwd(g[:, hidden:], input_grad),
-            parallel,
+        if not parallel:
+            d_xs, grads = stack_bwd(g, input_grad)
+            return (d_xs, *grads)
+        (d_xs, d_fw), (d_xs_bw, d_bw) = _both(
+            lambda: fw_bwd(g, input_grad), lambda: bw_bwd(g, input_grad), True
         )
         return (d_xs if d_xs is None else d_xs + d_xs_bw, *d_fw, *d_bw)
 

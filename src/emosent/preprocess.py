@@ -101,14 +101,21 @@ class SegmentationLexicon:
 
 
 def _viterbi_split(body: str, lexicon: SegmentationLexicon) -> list[str]:
-    """Cheapest segmentation by dynamic programming over split points."""
+    """Cheapest segmentation of a lowercase body by dynamic programming over
+    split points. Each piece costs what `lexicon.cost` gives, with log(total)
+    taken once rather than per piece."""
     n = len(body)
+    counts, log_total = lexicon.counts, math.log(lexicon.total)
     best = [math.inf] * (n + 1)
     best[0] = 0.0
     back = [0] * (n + 1)
     for end in range(1, n + 1):
         for start in range(end):
-            cost = best[start] + lexicon.cost(body[start:end])
+            count = counts.get(body[start:end])
+            if count is None:
+                cost = best[start] + (log_total + (end - start) * _LOG10)
+            else:
+                cost = best[start] + (log_total - math.log(count))
             if cost < best[end]:
                 best[end] = cost
                 back[end] = start
@@ -139,6 +146,8 @@ def segment_hashtag(body: str, lexicon: SegmentationLexicon) -> list[str]:
 
 def expand_contraction(token: str) -> list[str]:
     """Expand one lowercase token; anything unrecognized passes through."""
+    if "'" not in token:  # every contraction below has one
+        return [token]
     irregular = _IRREGULAR.get(token)
     if irregular is not None:
         return list(irregular)

@@ -18,6 +18,7 @@ single-task sentiment training and sentiment metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -180,13 +181,26 @@ class Thesaurus:
         """Each headword keeps its candidates once, in rank order, without
         blanks or itself. Candidates that are not a list of strings raise
         TypeError naming their headword."""
+        # Two C-level passes check the types; only a failed one looks for
+        # the headword to name.
+        lists = entries.values()
+        if not (
+            all(issubclass(t, (list, tuple)) for t in set(map(type, lists)))
+            and all(issubclass(t, str) for t in set(map(type, chain.from_iterable(lists))))
+        ):
+            for word, candidates in entries.items():
+                if not isinstance(candidates, (list, tuple)) or not all(
+                    isinstance(c, str) for c in candidates
+                ):
+                    raise TypeError(
+                        f"candidates of {word!r} are not a list of words: {candidates!r}"
+                    )
         self.entries: dict[str, list[str]] = {}
         for word, candidates in entries.items():
-            if not isinstance(candidates, (list, tuple)) or not all(
-                isinstance(c, str) for c in candidates
-            ):
-                raise TypeError(f"candidates of {word!r} are not a list of words: {candidates!r}")
-            self.entries[word] = [c for c in dict.fromkeys(candidates) if c and c != word]
+            kept = dict.fromkeys(candidates)
+            kept.pop(word, None)
+            kept.pop("", None)
+            self.entries[word] = list(kept)
 
     @classmethod
     def from_file(cls, path) -> "Thesaurus":

@@ -38,6 +38,21 @@ def corrupt_tanh_backward(monkeypatch):
     monkeypatch.setattr(nd, "tanh", corrupted)
 
 
+def assert_gradients_clear_of_zero(loss_fn, params, floor):
+    """Every coordinate of the loss's tape gradient is exactly zero or at
+    least `floor` in magnitude. Central differences carry the loss's
+    rounding over their step (about 1e-11 at eps 1e-5), so a relative check
+    at a coordinate near zero passes or fails by chance; a check whose
+    parameters pass this one does not depend on rounding order."""
+    from emosent import nd
+
+    with nd.Tape() as tape:
+        loss = loss_fn(params)
+    for name, grad in zip(params, tape.gradients(loss, list(params.values()))):
+        near = np.abs(grad[grad != 0.0])
+        assert not np.any(near < floor), f"{name}: a gradient of {near.min():.1e} is near zero"
+
+
 def gate_weights(params, prefix):
     """One LSTM direction's gate-stacked tensors sliced into the per-gate
     nested lists (W_i, U_i, b_i, ...) that the loop oracle takes."""

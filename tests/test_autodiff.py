@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from emosent import nd
 
-from conftest import corrupt_tanh_backward
+from conftest import assert_gradients_clear_of_zero, corrupt_tanh_backward
 
 
 def param(values):
@@ -214,11 +214,12 @@ class TestGradientRules:
         )
 
     @staticmethod
-    def lstm_params(rows, width=3, hidden=2):
+    def lstm_params(rows, width=3, hidden=2, rng=None):
+        rng = RNG if rng is None else rng
         shapes = {"xs": (rows, width), "W": (width, 4 * hidden), "U": (hidden, 4 * hidden),
                   "b": (4 * hidden,)}
         return {
-            f"{d}/{n}" if n != "xs" else n: nd.Tensor(RNG.normal(size=s), requires_grad=True)
+            f"{d}/{n}" if n != "xs" else n: nd.Tensor(rng.normal(size=s), requires_grad=True)
             for d in ("fw", "bw") for n, s in shapes.items()
         }
 
@@ -229,10 +230,16 @@ class TestGradientRules:
 
     @pytest.mark.parametrize("steps", [1, 4])
     def test_lstm(self, steps):
-        probe = nd.Tensor(RNG.normal(size=steps * 4))
-        check_against_central_differences(
-            lambda p: weighted(self.bilstm(p), probe), self.lstm_params(steps)
-        )
+        # Of 300 seeded draws of this probe and these parameters, 25 failed
+        # the 1e-6 check at 4 steps, each on a gradient of 3.6e-8 to 6.3e-6.
+        # This draw leaves every coordinate at 0 or above 1e-4 (asserted), so
+        # the check reads about 1e-9 whatever the rounding order.
+        rng = np.random.default_rng(72)
+        probe = nd.Tensor(rng.normal(size=steps * 4))
+        params = self.lstm_params(steps, rng=rng)
+        loss_fn = lambda p: weighted(self.bilstm(p), probe)  # noqa: E731
+        assert_gradients_clear_of_zero(loss_fn, params, 1e-4)
+        check_against_central_differences(loss_fn, params)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_ragged_sequences(self, reverse):

@@ -11,6 +11,7 @@ from emosent.model import (
     ModelConfig,
     TASK_EMOTION,
     TASK_SENTIMENT,
+    _dropout_masks,
     bilstm_forward,
     forward,
     init_parameters,
@@ -25,7 +26,7 @@ from emosent.resources import EncodedExample
 from emosent.rng import stage_rng, truncated_normal
 from emosent.train import joint_loss
 
-from conftest import gate_weights
+from conftest import assert_gradients_clear_of_zero, gate_weights
 from oracles import (
     affine_loops,
     lstm_direction_loops,
@@ -443,6 +444,25 @@ class TestForward:
             runs[0].logits[TASK_EMOTION].data, eval_trace.logits[TASK_EMOTION].data
         )
 
+    @pytest.mark.parametrize("mode", ["S1", "M2"])
+    def test_batch_dropout_masks_equal_per_example_draws(self, mode):
+        # One draw for the batch, cut per example into its state mask and
+        # then one pooled mask per task: the `nd.dropout_mask` sequence.
+        config = tiny_config(mode, dropout=0.6)
+        lengths = [3, 1, 5]
+        batch_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
+        states, pooled = _dropout_masks(lengths, config, True, batch_rng)
+        want_states, want_pooled = [], {task: [] for task in config.tasks}
+        for n in lengths:
+            want_states.append(nd.dropout_mask((n, config.encoder_dim), 0.6, rng).data)
+            for task in config.tasks:
+                want_pooled[task].append(nd.dropout_mask(config.pooled_dim, 0.6, rng).data)
+        assert states.data.tobytes() == np.concatenate(want_states).tobytes()
+        assert pooled.keys() == want_pooled.keys()
+        for task, rows in want_pooled.items():
+            assert pooled[task].data.tobytes() == np.stack(rows).tobytes()
+        assert batch_rng.random() == rng.random()
+
 
 def forward_loops(example, params, config):
     """The eval-mode forward pass composed position by position from the
@@ -553,9 +573,16 @@ def model_loss_fn(example, config, fixed):
 
 class TestFullModelGradients:
     def test_joint_mode_with_trainable_embeddings(self):
+        # At the initial scale most draws have coordinates below 1e-8, where
+        # the loss's rounding decides the 1e-3 check. Five times that scale,
+        # at this seed, leaves every coordinate at 0 or above 1e-6 (asserted).
         config = tiny_config("M2", train_embeddings=True)
-        params = init_parameters(config, vocab_size=9, seed=11)
+        params = {
+            name: nd.Tensor(5.0 * p.data, requires_grad=True)
+            for name, p in init_parameters(config, vocab_size=9, seed=37).items()
+        }
         loss_fn = model_loss_fn(tiny_example(), config, fixed={})
+        assert_gradients_clear_of_zero(loss_fn, params, 1e-6)
         report = nd.grad_check(loss_fn, params)
         assert report.ok(1e-3), (
             f"worst {report.worst_param}{report.worst_index}: "

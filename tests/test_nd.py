@@ -46,12 +46,23 @@ class TestLstm:
             nd.bilstm(xs, direction, direction, lengths)
 
 
+@pytest.fixture
+def fresh_probe_cache():
+    """An empty probe cache, emptied again afterwards, for probes run
+    under a patched `np.dot`."""
+    autodiff._rows_invariant.cache_clear()
+    yield
+    autodiff._rows_invariant.cache_clear()
+
+
 class TestBatchInvariance:
     @pytest.mark.parametrize("in_dim,hidden", [(300, 300), (16, 8)])
-    def test_probe_finds_lstm_products_batch_invariant(self, in_dim, hidden):
-        assert nd.bilstm_batch_invariant(in_dim, hidden, 1000)
+    def test_probe_finds_lstm_products_batch_invariant(self, in_dim, hidden, monkeypatch):
+        for parallel in (False, True):
+            monkeypatch.setattr(autodiff, "_run_directions_in_parallel", lambda h: parallel)
+            assert nd.bilstm_batch_invariant(in_dim, hidden, 1000)
 
-    def test_probe_fails_when_a_row_count_changes_the_bits(self, monkeypatch):
+    def test_probe_fails_when_a_row_count_changes_the_bits(self, monkeypatch, fresh_probe_cache):
         dot = np.dot
 
         def drifting(a, b, out=None):
@@ -59,22 +70,41 @@ class TestBatchInvariance:
             return np.nextafter(product, np.inf) if a.shape[0] == 40 else product
 
         monkeypatch.setattr(np, "dot", drifting)
-        assert not autodiff._rows_invariant(7, 12, 128, None)
+        for depth in (1, 2):
+            assert not autodiff._rows_invariant(7, 12, 128, None, depth)
+
+    def test_probe_fails_when_strided_rows_change_the_bits(self, monkeypatch, fresh_probe_cache):
+        # The serial schedule reads each direction's states in place, 2H
+        # apart: the probe must read its rows the same way.
+        dot = np.dot
+
+        def drifting(a, b, out=None):
+            product = dot(a, b)
+            return product if a.flags.c_contiguous else np.nextafter(product, np.inf)
+
+        monkeypatch.setattr(np, "dot", drifting)
+        assert autodiff._rows_invariant(7, 12, 128, None, 1)
+        assert not autodiff._rows_invariant(7, 12, 128, None, 2)
+        for parallel in (True, False):
+            monkeypatch.setattr(autodiff, "_run_directions_in_parallel", lambda h: parallel)
+            assert nd.bilstm_batch_invariant(7, 3, 100) == parallel
 
     @pytest.mark.parametrize("in_dim,hidden", [(300, 300), (16, 8)])
-    def test_sequence_states_equal_alone_and_in_a_batch(self, in_dim, hidden):
+    def test_sequence_states_equal_alone_and_in_a_batch(self, in_dim, hidden, monkeypatch):
         rng = np.random.default_rng(2)
         lengths = [1, 5, 3, 1, 7, 2]
         xs = rng.normal(size=(sum(lengths), in_dim))
         fw, bw = ([nd.Tensor(rng.normal(size=s) * 0.1)
                    for s in ((in_dim, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))]
                   for _ in range(2))
-        batched = nd.bilstm(nd.Tensor(xs), fw, bw, lengths).data
-        start = 0
-        for n in lengths:
-            alone = nd.bilstm(nd.Tensor(xs[start : start + n]), fw, bw).data
-            assert alone.tobytes() == batched[start : start + n].tobytes()
-            start += n
+        for parallel in (False, True):
+            monkeypatch.setattr(autodiff, "_run_directions_in_parallel", lambda h: parallel)
+            batched = nd.bilstm(nd.Tensor(xs), fw, bw, lengths).data
+            start = 0
+            for n in lengths:
+                alone = nd.bilstm(nd.Tensor(xs[start : start + n]), fw, bw).data
+                assert alone.tobytes() == batched[start : start + n].tobytes()
+                start += n
 
 
 class TestAttentionPool:

@@ -70,22 +70,26 @@ def worker_running():
     return any(t.name.startswith("nd-bilstm") for t in threading.enumerate())
 
 
-def bilstm_outputs_and_gradients(hidden, seed=0):
-    """States and the seven gradients of a fixed loss on ragged sequences."""
+def bilstm_outputs_and_gradients(hidden, seed=0, lengths=LENGTHS, xs_trainable=True):
+    """States and the seven gradients of a fixed loss on ragged sequences;
+    the one of a frozen `xs` is what the op's backward pass gives (None)."""
     rng = np.random.default_rng(seed)
-    rows, width = sum(LENGTHS), 5
+    rows, width = sum(lengths), 5
 
-    def param(*shape):
-        return nd.Tensor(rng.normal(size=shape) * 0.5, requires_grad=True)
+    def param(*shape, trainable=True):
+        return nd.Tensor(rng.normal(size=shape) * 0.5, requires_grad=trainable)
 
-    xs = param(rows, width)
+    xs = param(rows, width, trainable=xs_trainable)
     fw, bw = ([param(width, 4 * hidden), param(hidden, 4 * hidden), param(4 * hidden)]
               for _ in range(2))
     probe = nd.Tensor(rng.normal(size=(rows, 2 * hidden)))
     with nd.Tape() as tape:
-        states = nd.bilstm(xs, fw, bw, LENGTHS)
+        states = nd.bilstm(xs, fw, bw, lengths)
         loss = nd.sum(nd.mul(states, probe))
-    return [states.data, *tape.gradients(loss, [xs, *fw, *bw])]
+    grads = tape.gradients(loss, [xs, *fw, *bw])
+    if not xs_trainable:
+        grads[0] = tape.entries[0].backward(probe.data)[0]
+    return [states.data, *grads]
 
 
 @pytest.mark.parametrize("hidden", HIDDEN_SIZES)
@@ -97,6 +101,29 @@ def test_bilstm_outputs_and_gradients_match(hidden, monkeypatch):
     assert worker_running()
     for serial, threaded in zip(results[False], results[True]):
         assert np.array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("hidden", HIDDEN_SIZES)
+@pytest.mark.parametrize("xs_trainable", [True, False])
+@pytest.mark.parametrize("lengths", [
+    [1],  # one row: its projection is the top row of a two-row GEMM
+    [1, 1, 1],  # length-1 sequences: no step reads an earlier state
+    [5, 1, 2],  # steps where one sequence still runs: two-row products in the slab
+])
+def test_stack_of_two_matches_two_threads_byte_for_byte(hidden, xs_trainable, lengths,
+                                                         monkeypatch):
+    # The serial schedule runs both directions as one interleaved stack and
+    # never calls `_both`; the two-thread one runs one direction per thread.
+    results = {}
+    for parallel in (False, True):
+        force_schedule(monkeypatch, parallel)
+        flags = record_schedules(monkeypatch)
+        results[parallel] = bilstm_outputs_and_gradients(hidden, 4, lengths, xs_trainable)
+        assert flags == [parallel] * len(flags) and bool(flags) == parallel
+    assert (results[False][1] is None) == (not xs_trainable)
+    assert [a if a is None else a.tobytes() for a in results[False]] == [
+        a if a is None else a.tobytes() for a in results[True]
+    ]
 
 
 @pytest.mark.parametrize("hidden", HIDDEN_SIZES)
