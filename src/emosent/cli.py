@@ -17,7 +17,9 @@ import numpy as np
 from .artifacts import read_text, write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, require_files
-from .model import MODES, ModelConfig, forward, init_parameters
+from .model import (
+    MODES, ModelConfig, forward, init_parameters, predict_emotions, predict_sentiment
+)
 from .nd import grad_check, set_blas_threads
 from .preprocess import SegmentationLexicon, join, normalize
 from .resources import (
@@ -218,14 +220,14 @@ def cmd_predict(args) -> int:
     print(f"tokens: {join(tokens)}")
     if "sentiment" in trace.probabilities:
         probs = trace.probabilities["sentiment"][0]
-        print(f"sentiment: {SENTIMENTS[trace.predictions['sentiment'][0]]}")
+        print(f"sentiment: {SENTIMENTS[predict_sentiment(probs)]}")
         print(
             "sentiment probabilities: "
             + " ".join(f"{n}={p:.6f}" for n, p in zip(SENTIMENTS, probs))
         )
     if "emotion" in trace.probabilities:
         probs = trace.probabilities["emotion"][0]
-        active = [n for n, p in zip(EMOTIONS, probs) if p >= threshold]
+        active = [n for n, on in zip(EMOTIONS, predict_emotions(probs, threshold)) if on]
         print(f"emotions: {' '.join(active)}")
         print(
             "emotion probabilities: "
@@ -237,9 +239,10 @@ def cmd_predict(args) -> int:
 def _gradcheck_mode(mode: str, seed: int):
     """Tiny random model and loss for one architecture.
 
-    The probe was chosen so no parameter coordinate has a near-zero true
-    gradient: central differences on such coordinates amplify float64
-    rounding of the loss into relative errors at the 1e-3 tolerance.
+    At the default seed 0, the probe and the initial parameters, scaled by
+    5, give every true gradient coordinate of all six modes exactly zero or
+    at least 1e-7 in magnitude; central differences on a near-zero one would
+    measure float64 rounding of the loss rather than the gradient.
     """
     config = ModelConfig(
         mode=mode,
@@ -251,6 +254,8 @@ def _gradcheck_mode(mode: str, seed: int):
         train_embeddings=True,
     )
     params = init_parameters(config, vocab_size=9, seed=seed)
+    for p in params.values():
+        p.data *= 5.0
     example = EncodedExample(
         "probe",
         [1, 2, 3],

@@ -103,19 +103,35 @@ def emotion_metrics(
         raise ValueError(
             f"gold and predicted lengths differ: {len(gold_bits)} vs {len(predicted_bits)}"
         )
-    confusions: dict[str, Confusion] = {}
-    per_label: dict[str, ClassPRF] = {}
-    total_tp = total_fp = total_fn = 0
-    for i, label in enumerate(EMOTIONS):
-        gold_i = [int(bits[i]) for bits in gold_bits]
-        pred_i = [int(bits[i]) for bits in predicted_bits]
-        (tn, fp), (fn, tp) = confusion_counts(gold_i, pred_i)
-        confusions[label] = ((tn, fp), (fn, tp))
-        per_label[label] = prf(tp, fp, fn)
-        total_tp += tp
-        total_fp += fp
-        total_fn += fn
-    return EmotionMetrics(confusions, per_label, prf(total_tp, total_fp, total_fn))
+    confusions = {
+        label: confusion_counts(
+            [int(bits[i]) for bits in gold_bits], [int(bits[i]) for bits in predicted_bits]
+        )
+        for i, label in enumerate(EMOTIONS)
+    }
+    # The micro counts are the per-label confusions summed cell by cell.
+    summed = [[sum(cells) for cells in zip(*rows)] for rows in zip(*confusions.values())]
+    per_label = {label: _positive_prf(c) for label, c in confusions.items()}
+    return EmotionMetrics(confusions, per_label, _positive_prf(summed))
+
+
+def _positive_prf(confusion) -> ClassPRF:
+    """The scores of class 1 from a 2x2 confusion."""
+    (_, fp), (fn, tp) = confusion
+    return prf(tp, fp, fn)
+
+
+# Metrics-file key suffixes: a confusion's cells in row order, a class's scores.
+_CELL_KEYS = ("tn", "fp", "fn", "tp")
+_PRF_KEYS = ("precision", "recall", "f1")
+
+
+def _cell_items(prefix: str, confusion: Confusion) -> list[tuple[str, object]]:
+    return [(f"{prefix}.{k}", v) for k, v in zip(_CELL_KEYS, [*confusion[0], *confusion[1]])]
+
+
+def _prf_items(prefix: str, scores: ClassPRF) -> list[tuple[str, object]]:
+    return [(f"{prefix}.{k}", getattr(scores, k)) for k in _PRF_KEYS]
 
 
 def _flat_items(report: MetricsReport) -> list[tuple[str, object]]:
@@ -126,38 +142,16 @@ def _flat_items(report: MetricsReport) -> list[tuple[str, object]]:
     ]
     if report.sentiment is not None:
         s = report.sentiment
-        (tn, fp), (fn, tp) = s.confusion
-        items += [
-            ("sentiment.confusion.tn", tn),
-            ("sentiment.confusion.fp", fp),
-            ("sentiment.confusion.fn", fn),
-            ("sentiment.confusion.tp", tp),
-        ]
-        for cls_name, cls in (("negative", s.negative), ("positive", s.positive)):
-            items += [
-                (f"sentiment.{cls_name}.precision", cls.precision),
-                (f"sentiment.{cls_name}.recall", cls.recall),
-                (f"sentiment.{cls_name}.f1", cls.f1),
-            ]
+        items += _cell_items("sentiment.confusion", s.confusion)
+        items += _prf_items("sentiment.negative", s.negative)
+        items += _prf_items("sentiment.positive", s.positive)
         items.append(("sentiment.macro_f1", s.macro_f1))
     if report.emotion is not None:
         e = report.emotion
         for label in EMOTIONS:
-            (tn, fp), (fn, tp) = e.confusions[label]
-            items += [
-                (f"emotion.{label}.confusion.tn", tn),
-                (f"emotion.{label}.confusion.fp", fp),
-                (f"emotion.{label}.confusion.fn", fn),
-                (f"emotion.{label}.confusion.tp", tp),
-                (f"emotion.{label}.precision", e.per_label[label].precision),
-                (f"emotion.{label}.recall", e.per_label[label].recall),
-                (f"emotion.{label}.f1", e.per_label[label].f1),
-            ]
-        items += [
-            ("emotion.micro.precision", e.micro.precision),
-            ("emotion.micro.recall", e.micro.recall),
-            ("emotion.micro.f1", e.micro.f1),
-        ]
+            items += _cell_items(f"emotion.{label}.confusion", e.confusions[label])
+            items += _prf_items(f"emotion.{label}", e.per_label[label])
+        items += _prf_items("emotion.micro", e.micro)
     return items
 
 
@@ -186,13 +180,11 @@ def parse_metrics(text: str) -> MetricsReport:
             raise ValueError(f"{key}: expected {kind.__name__}, got {values[key]!r}") from None
 
     def c(prefix: str) -> Confusion:
-        return (
-            (f(f"{prefix}.tn", int), f(f"{prefix}.fp", int)),
-            (f(f"{prefix}.fn", int), f(f"{prefix}.tp", int)),
-        )
+        tn, fp, fn, tp = (f(f"{prefix}.{k}", int) for k in _CELL_KEYS)
+        return ((tn, fp), (fn, tp))
 
     def cls(prefix: str) -> ClassPRF:
-        return ClassPRF(f(f"{prefix}.precision"), f(f"{prefix}.recall"), f(f"{prefix}.f1"))
+        return ClassPRF(*(f(f"{prefix}.{k}") for k in _PRF_KEYS))
 
     sentiment = None
     if "sentiment.macro_f1" in values:
@@ -220,26 +212,21 @@ def render_table(report: MetricsReport) -> str:
     lines = [f"Mode {report.mode} (seed {report.seed}, epoch {report.epoch})", ""]
     if report.sentiment is not None:
         s = report.sentiment
-        lines.append("Sentiment")
-        lines.append(f"  {'':12s}{'precision':>10s}{'recall':>10s}{'f1':>10s}")
-        for name, m in (("negative", s.negative), ("positive", s.positive)):
-            lines.append(
-                f"  {name:12s}{m.precision:10.4f}{m.recall:10.4f}{m.f1:10.4f}"
-            )
+        lines += _table_block("Sentiment", [("negative", s.negative), ("positive", s.positive)])
         lines.append(f"  {'macro-F1':12s}{'':10s}{'':10s}{s.macro_f1:10.4f}")
         lines.append("")
     if report.emotion is not None:
         e = report.emotion
-        lines.append("Emotion")
-        lines.append(f"  {'':12s}{'precision':>10s}{'recall':>10s}{'f1':>10s}")
-        for label in EMOTIONS:
-            m = e.per_label[label]
-            lines.append(
-                f"  {label:12s}{m.precision:10.4f}{m.recall:10.4f}{m.f1:10.4f}"
-            )
-        lines.append(
-            f"  {'Micro-Avg':12s}{e.micro.precision:10.4f}"
-            f"{e.micro.recall:10.4f}{e.micro.f1:10.4f}"
-        )
+        rows = [(label, e.per_label[label]) for label in EMOTIONS] + [("Micro-Avg", e.micro)]
+        lines += _table_block("Emotion", rows)
         lines.append("")
     return "\n".join(lines)
+
+
+def _table_block(title: str, rows: list[tuple[str, ClassPRF]]) -> list[str]:
+    """A titled header line and one precision/recall/F1 row per name."""
+    return [
+        title,
+        f"  {'':12s}{'precision':>10s}{'recall':>10s}{'f1':>10s}",
+        *(f"  {name:12s}{m.precision:10.4f}{m.recall:10.4f}{m.f1:10.4f}" for name, m in rows),
+    ]

@@ -23,9 +23,10 @@ gather and the BiLSTM alone, and `forward` given a batch's states skips
 them, so inference can encode many tweets at once and run the rest of the
 pass per tweet.
 
-Sentiment is decided by argmax over the two sigmoid outputs with index
-order (negative, positive); emotions are thresholded per label at 0.5,
-the boundary counting as positive.
+A pass stops at probabilities. Decisions come from `predict_sentiment`,
+the argmax over the two sigmoid outputs with index order (negative,
+positive), and `predict_emotions`, which thresholds each label at the
+caller's threshold, the boundary counting as positive.
 """
 from __future__ import annotations
 
@@ -166,10 +167,9 @@ class ForwardTrace:
     for a token without candidates), and `sentence_alpha[task]` holds the N
     sentence-attention weights, each example's summing to 1. Per-example
     fields have one row per example: `sentence_vector[task]` [B, pooled_dim],
-    `logits[task]` and `probabilities[task]` [B, units], and
-    `predictions[task]`, [B] sentiment indices or [B, 8] emotion decisions.
-    `losses` holds the per-example joint losses [B] once `train.joint_loss`
-    has run on the trace.
+    and `logits[task]` and `probabilities[task]` [B, units]. `losses` holds
+    the per-example joint losses [B] once `train.joint_loss` has run on the
+    trace.
     """
 
     mode: str
@@ -180,7 +180,6 @@ class ForwardTrace:
     sentence_vector: dict[str, nd.Tensor] = field(default_factory=dict)
     logits: dict[str, nd.Tensor] = field(default_factory=dict)
     probabilities: dict[str, np.ndarray] = field(default_factory=dict)
-    predictions: dict[str, np.ndarray] = field(default_factory=dict)
     losses: np.ndarray | None = None
 
 
@@ -277,9 +276,9 @@ def predict_sentiment(probabilities: np.ndarray) -> np.ndarray:
     return np.argmax(probabilities, axis=-1)
 
 
-def predict_emotions(probabilities: np.ndarray) -> np.ndarray:
-    """Per-label decisions; the 0.5 boundary counts as positive."""
-    return (probabilities >= 0.5).astype(np.int64)
+def predict_emotions(probabilities: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """Per-label decisions; the `threshold` boundary counts as positive."""
+    return (probabilities >= threshold).astype(np.int64)
 
 
 def _lengths(examples: list[EncodedExample]) -> list[int]:
@@ -352,10 +351,5 @@ def forward(
         trace.sentence_vector[task] = pooled
     for task, logits in task_heads(trace.sentence_vector, params).items():
         trace.logits[task] = logits
-        probs = nd.sigmoid_values(logits.data)
-        trace.probabilities[task] = probs
-        if task == TASK_SENTIMENT:
-            trace.predictions[task] = predict_sentiment(probs)
-        else:
-            trace.predictions[task] = predict_emotions(probs)
+        trace.probabilities[task] = nd.sigmoid_values(logits.data)
     return trace

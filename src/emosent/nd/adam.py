@@ -105,8 +105,6 @@ def adam_step(
             state.v[name] = state.arenas[2][state.slots[name]].reshape(g.shape)
     t = state.t + 1
     c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
-    # What the first step adds to (1-beta)·g: beta·0.0, as the moments start at 0.0.
-    m0, v0 = beta1 * 0.0, beta2 * 0.0
     p_arena, m_arena, v_arena = state.arenas
     pieces = []
     for name, grad in checked.items():
@@ -120,19 +118,16 @@ def adam_step(
         for gb, pb, at in run:
             a, b = scratch[: gb.size], step[: gb.size]
             m, v = m_arena[at], v_arena[at]
+            # The first step's moments start at 0.0: it reads a zero block
+            # where later steps read the arenas, which it has not filled.
+            m_old, v_old = (zero[: gb.size],) * 2 if first else (m, v)
+            np.multiply(m_old, beta1, out=m)
             np.multiply(gb, 1.0 - beta1, out=a)
-            if first:
-                np.add(a, m0, out=m)
-            else:
-                m *= beta1
-                m += a
+            m += a
+            np.multiply(v_old, beta2, out=v)
             np.multiply(gb, 1.0 - beta2, out=a)
             a *= gb
-            if first:
-                np.add(a, v0, out=v)
-            else:
-                v *= beta2
-                v += a
+            v += a
             np.divide(v, c2, out=a)
             np.sqrt(a, out=a)
             a += eps
@@ -148,6 +143,7 @@ def adam_step(
     cut = min(range(len(ends)), key=lambda i: abs(2 * ends[i] - ends[-1]))
     parallel = autodiff._two_threads(ends[-1], 2 * BLOCK)
     scratch = np.empty((4 if parallel else 2, max(sizes, default=0)))
+    zero = np.zeros(max(sizes, default=0)) if first else None
     autodiff._both(
         lambda: update(pieces[:cut], scratch[0], scratch[1]),
         lambda: update(pieces[cut:], scratch[-2], scratch[-1]),

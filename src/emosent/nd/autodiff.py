@@ -476,6 +476,7 @@ def _run_directions(x_all, stack, prev, blocks, h):
         slopes[..., 2 * hidden : 3 * hidden] = 1.0 - g * g
         factors = np.stack([g, cells[prev], i, tanh_cells], axis=2)
         factors *= slopes.reshape(-1, depth, 4, hidden)
+        del slopes  # freed before the BPTT buffers below are allocated
         state_to_cell = o * (1.0 - tanh_cells * tanh_cells)
         dh = np.zeros_like(cells)
         for d, (_, _, _, read, columns) in enumerate(stack):

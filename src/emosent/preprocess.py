@@ -92,18 +92,10 @@ class SegmentationLexicon:
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.counts
 
-    def cost(self, word: str) -> float:
-        """Negative log unigram probability, with a length penalty off-lexicon."""
-        count = self.counts.get(word.lower())
-        if count is None:
-            return math.log(self.total) + len(word) * _LOG10
-        return math.log(self.total) - math.log(count)
-
 
 def _viterbi_split(body: str, lexicon: SegmentationLexicon) -> list[str]:
     """Cheapest segmentation of a lowercase body by dynamic programming over
-    split points. Each piece costs what `lexicon.cost` gives, with log(total)
-    taken once rather than per piece."""
+    split points; each piece costs cost(word) of the module docstring."""
     n = len(body)
     counts, log_total = lexicon.counts, math.log(lexicon.total)
     best = [math.inf] * (n + 1)

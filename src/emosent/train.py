@@ -31,6 +31,8 @@ from .model import (
     as_batch,
     encode,
     forward,
+    predict_emotions,
+    predict_sentiment,
     trainable_names,
 )
 from .resources import EncodedExample, OTHER_SENTIMENT, SENTIMENTS
@@ -190,10 +192,12 @@ def evaluate(
     rest of `forward` on its own states, so its probabilities are bit-equal
     to those of a one-example forward (the predict path). Sentiment is
     scored only over gold positive/negative rows; emotion is scored over
-    every row at the given probability threshold.
+    every row at the given probability threshold, which must lie in (0, 1).
     """
     if not examples:
         raise ValueError("evaluate needs a non-empty corpus")
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     sent_gold: list[int] = []
     sent_pred: list[int] = []
     emo_gold: list[np.ndarray] = []
@@ -204,23 +208,16 @@ def evaluate(
         states = encode(batch, params, model_cfg).data
         ends = np.cumsum([len(ex.token_ids) for ex in batch])
         for ex, h in zip(batch, np.split(states, ends[:-1])):
-            trace = forward(ex, params, model_cfg, states=nd.Tensor(h))
-            if TASK_SENTIMENT in trace.logits and ex.sentiment in SENTIMENTS:
+            probs = forward(ex, params, model_cfg, states=nd.Tensor(h)).probabilities
+            if TASK_SENTIMENT in probs and ex.sentiment in SENTIMENTS:
                 sent_gold.append(SENTIMENTS.index(ex.sentiment))
-                sent_pred.append(int(trace.predictions[TASK_SENTIMENT][0]))
-            if TASK_EMOTION in trace.logits:
+                sent_pred.append(int(predict_sentiment(probs[TASK_SENTIMENT][0])))
+            if TASK_EMOTION in probs:
                 emo_gold.append(ex.emotions.astype(np.int64))
-                emo_pred.append(
-                    (trace.probabilities[TASK_EMOTION][0] >= threshold).astype(np.int64)
-                )
-    sentiment = (
-        sentiment_metrics(sent_gold, sent_pred)
-        if TASK_SENTIMENT in model_cfg.tasks
-        else None
-    )
-    emotion = (
-        emotion_metrics(emo_gold, emo_pred) if TASK_EMOTION in model_cfg.tasks else None
-    )
+                emo_pred.append(predict_emotions(probs[TASK_EMOTION][0], threshold))
+    tasks = model_cfg.tasks
+    sentiment = sentiment_metrics(sent_gold, sent_pred) if TASK_SENTIMENT in tasks else None
+    emotion = emotion_metrics(emo_gold, emo_pred) if TASK_EMOTION in tasks else None
     return MetricsReport(model_cfg.mode, seed, epoch, sentiment, emotion)
 
 

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from emosent import nd
+from emosent import cli, nd
 from emosent.checkpoint import HEADER_START, MAGIC, load_checkpoint, save_checkpoint
 from emosent.cli import entrypoint
 from emosent.metrics import parse_metrics
+from emosent.model import MODES
 from emosent.resources import CHUNK_ROWS
 
-from conftest import FIXTURES, corrupt_tanh_backward
+from conftest import FIXTURES, assert_gradients_clear_of_zero, corrupt_tanh_backward
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -299,6 +300,26 @@ class TestPredictCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: checkpoint: {broken}: ") and message in proc.stderr
 
+    def test_prints_the_emotions_at_or_above_meta_threshold(self, trained, tmp_path, capsys):
+        ckpt = load_checkpoint(trained.out / "checkpoint.bin")
+        texts = ["joyword angerword was", "trustword fearword so", "negword sadnessword fearword"]
+        printed = {}
+        for threshold in (0.3, 0.7):
+            path = tmp_path / f"threshold-{threshold}.bin"
+            meta = {**ckpt.meta, "threshold": threshold}
+            save_checkpoint(path, ckpt.config, ckpt.params, ckpt.vocab, ckpt.thesaurus,
+                            ckpt.lexicon, meta)
+            for text in texts:
+                assert entrypoint(["predict", str(path), text]) == 0
+                lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+                probs = dict(pair.split("=") for pair in lines["emotion probabilities"].split())
+                assert all(abs(float(p) - threshold) > 1e-6 for p in probs.values())
+                expected = [name for name, p in probs.items() if float(p) >= threshold]
+                assert lines.get("emotions", "").split() == expected
+                printed[threshold, text] = expected
+        # The two thresholds decide differently, so the check is not vacuous.
+        assert any(printed[0.3, text] != printed[0.7, text] for text in texts)
+
     @pytest.mark.parametrize("option", [["--seed", "-5"], ["--config", "run.cfg"],
                                         ["--out", "out"]])
     def test_run_config_options_are_usage_errors(self, trained, capsys, option):
@@ -324,6 +345,15 @@ class TestEvaluateCommand:
 
 
 class TestGradcheckCommand:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_probe_gradients_clear_of_zero_at_the_default_seed(self, monkeypatch, mode):
+        # So a finite-difference reading measures the gradient, not rounding.
+        monkeypatch.setattr(
+            cli, "grad_check", lambda loss_fn, params: assert_gradients_clear_of_zero(
+                loss_fn, params, 1e-7)
+        )
+        cli._gradcheck_mode(mode, 0)
+
     def test_requested_modes_pass(self, capsys):
         assert entrypoint(["gradcheck", "--modes", "S1,M2"]) == 0
         out = capsys.readouterr().out

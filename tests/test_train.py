@@ -16,9 +16,10 @@ from emosent.model import (
     TASK_SENTIMENT,
     forward,
     init_parameters,
+    predict_emotions,
     trainable_names,
 )
-from emosent.resources import EncodedExample
+from emosent.resources import EMOTIONS, EncodedExample
 from emosent.train import ENCODE_CHUNK, TrainConfig, evaluate, joint_loss, train
 
 from conftest import small_config
@@ -239,6 +240,30 @@ class TestEvaluate:
         params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=0)
         with pytest.raises(ValueError, match="non-empty"):
             evaluate([], params, config)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, float("nan"), float("inf")])
+    def test_threshold_outside_unit_interval_rejected(self, bundle, threshold):
+        config = small_config("E1")
+        params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=0)
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\)"):
+            evaluate(bundle.test_examples, params, config, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.7])
+    def test_emotion_counts_follow_predict_emotions(self, bundle, threshold):
+        config = small_config("M2")
+        params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=0)
+        params, _ = train(bundle.train_examples, params, quick_train_config(epochs=20), config)
+        report = evaluate(bundle.test_examples, params, config, threshold=threshold)
+        counts = np.zeros((len(EMOTIONS), 2, 2), dtype=np.int64)
+        labels = np.arange(len(EMOTIONS))
+        for ex in bundle.test_examples:
+            probs = forward(ex, params, config).probabilities[TASK_EMOTION][0]
+            counts[labels, ex.emotions.astype(np.int64), predict_emotions(probs, threshold)] += 1
+        confusions = [report.emotion.confusions[label] for label in EMOTIONS]
+        np.testing.assert_array_equal(confusions, counts)
+        # The counts differ from what the default 0.5 boundary gives.
+        default = evaluate(bundle.test_examples, params, config)
+        assert default.emotion.confusions != report.emotion.confusions
 
     def test_sentiment_only_mode_omits_emotion(self, bundle):
         config = small_config("S1")
