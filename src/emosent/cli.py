@@ -18,7 +18,8 @@ from .artifacts import read_text, write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, require_files
 from .model import (
-    MODES, ModelConfig, forward, init_parameters, predict_emotions, predict_sentiment
+    EMOTION_THRESHOLD, MODES, ModelConfig, forward, init_parameters, predict_emotions,
+    predict_sentiment,
 )
 from .nd import grad_check, set_blas_threads
 from .preprocess import SegmentationLexicon, join, normalize
@@ -125,7 +126,7 @@ def cmd_train(args) -> int:
     lexicon = _load_lexicon(cfg)
     train_corpus = _staged("corpus.train", load_corpus, cfg.corpus_train)
     vocab = build_vocab(train_corpus, embeddings, thesaurus, model_cfg.dt_k)
-    rows = vocab_embedding_rows(vocab, embeddings)
+    rows = _staged("embeddings", vocab_embedding_rows, vocab, embeddings)
     train_examples = encode_corpus(train_corpus, vocab, thesaurus, model_cfg.dt_k)
     if cfg.corpus_test is not None:
         require_files(cfg, "corpus.test")
@@ -199,7 +200,7 @@ def cmd_predict(args) -> int:
     if not Path(args.checkpoint).is_file():
         raise ConfigError(f"checkpoint: no such file: {args.checkpoint}")
     ckpt = _staged("checkpoint", load_checkpoint, args.checkpoint)
-    threshold = ckpt.meta.get("threshold", 0.5)
+    threshold = ckpt.meta.get("threshold", EMOTION_THRESHOLD)
     if type(threshold) not in (int, float) or not 0.0 < threshold < 1.0:
         raise ConfigError(
             f"checkpoint: {args.checkpoint}: meta.threshold: "
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func, help_text: str, run_config: bool = True):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         if run_config:
             p.add_argument("--config", help="run config file (flat key = value lines)")
             p.add_argument("--seed", type=int, help="override the config seed")
@@ -335,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                 run_config=False)
     p.add_argument("checkpoint", help="checkpoint file from a train run")
     p.add_argument("text", help="the message to classify")
-    p = command("gradcheck", cmd_gradcheck, "verify gradients against finite differences")
+    p = command("gradcheck", cmd_gradcheck, "verify gradients against finite differences; "
+                "the probe is clear of near-zero gradients only at seed 0, so another "
+                "--seed can pass or fail on rounding")
     p.add_argument(
         "--modes",
         default=",".join(MODES),

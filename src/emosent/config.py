@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .artifacts import read_text
-from .model import ModelConfig
+from .model import EMOTION_THRESHOLD, ModelConfig
 from .train import TrainConfig
 
 
@@ -32,7 +32,7 @@ class RunConfig:
     thesaurus: str | None = None
     lexicon: str | None = None
     out_dir: str = "."
-    threshold: float = 0.5
+    threshold: float = EMOTION_THRESHOLD
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 

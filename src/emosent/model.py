@@ -44,6 +44,7 @@ TASK_SENTIMENT = "sentiment"
 TASK_EMOTION = "emotion"
 HEAD_UNITS = {TASK_SENTIMENT: 2, TASK_EMOTION: 8}
 INIT_STD = 0.1
+EMOTION_THRESHOLD = 0.5  # default emotion decision threshold
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ def _dropout_masks(lengths, config: ModelConfig, train_mode: bool, rng):
 
     Each example takes its state mask and then one pooled mask per task, in
     that order, from one draw for the whole batch, so a batch consumes the
-    stream as its examples would one by one (`nd.dropout_mask` calls).
+    stream as its examples would one by one (oracle: tests/oracles.py).
     """
     if not train_mode or config.dropout_rate == 0.0:
         return None, {}
@@ -276,7 +277,9 @@ def predict_sentiment(probabilities: np.ndarray) -> np.ndarray:
     return np.argmax(probabilities, axis=-1)
 
 
-def predict_emotions(probabilities: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+def predict_emotions(
+    probabilities: np.ndarray, threshold: float = EMOTION_THRESHOLD
+) -> np.ndarray:
     """Per-label decisions; the `threshold` boundary counts as positive."""
     return (probabilities >= threshold).astype(np.int64)
 

@@ -759,18 +759,3 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
 
     return _record(out, (xs, *fw, *bw), bwd)
 
-
-def dropout_mask(shape, rate: float, rng) -> Tensor:
-    """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate).
-
-    `rng` is a numpy Generator or an integer seed; the same seed always
-    yields the same mask. Masks are constants (never recorded on a tape).
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    if rate == 0.0:
-        return Tensor(np.ones(shape))
-    keep = rng.random(shape) >= rate
-    return Tensor(np.where(keep, 1.0 / (1.0 - rate), 0.0))

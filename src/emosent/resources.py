@@ -3,8 +3,10 @@
 File formats (all UTF-8):
   embeddings  word2vec text, `word v1 .. v_dim` per line, single spaces,
               optional `count dim` header line; the first line of a word
-              wins. Parsed in blocks by numpy's C text reader, with values
-              equal to `float()`'s; an error names the first bad line;
+              wins. Every line's value count is checked at load; values
+              are parsed only for the rows a run uses, equal to `float()`'s,
+              so a non-numeric or non-finite value on a line no run uses
+              passes. An error names the first bad line;
   thesaurus   `word<TAB>cand1,cand2,...` with candidates ranked most-similar
               first;
   corpus      `id<TAB>text<TAB>sentiment<TAB>b1 b2 .. b8` with the text column
@@ -57,115 +59,122 @@ class CorpusIntegrityError(ValueError):
 
 @dataclass
 class EmbeddingMatrix:
+    """Word vectors indexed at load, parsed on demand: `spans` holds each file
+    row's (line number, start, end) in `text`; `built` the rows made at load."""
+
+    path: Path
     dim: int
     index: dict[str, int]
-    matrix: np.ndarray
+    text: str
+    spans: list[tuple[int, int, int]]
+    built: dict[int, np.ndarray]
 
     def __contains__(self, word: str) -> bool:
         return word in self.index
 
-    def row_id(self, word: str) -> int:
-        idx = self.index.get(word)
-        return self.index[OOV] if idx is None else idx
-
-    def lookup(self, word: str) -> np.ndarray:
-        return self.matrix[self.row_id(word)]
+    def rows(self, words: Sequence[str]) -> np.ndarray:
+        """Vectors [len(words), dim] of `words`; a word without a row gets <oov>'s.
+        Only their lines are parsed, in file order and CHUNK_ROWS blocks, so an
+        error names the first non-numeric line among them, else the first
+        non-finite one."""
+        oov = self.index[OOV]
+        ids = [self.index.get(w, oov) for w in words]
+        parsed = sorted(set(ids).difference(self.built))
+        values = np.empty((len(parsed), self.dim))
+        for lo in range(0, len(parsed), CHUNK_ROWS):
+            spans = [self.spans[i] for i in parsed[lo : lo + CHUNK_ROWS]]
+            block = [(lineno, self.text[at:end]) for lineno, at, end in spans]
+            values[lo : lo + len(block)] = _parse_block(self.path, block, self.dim)
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            lineno, at, end = self.spans[parsed[bad[0]]]
+            word = self.text[at:end].split(" ", 1)[0]
+            raise ResourceFormatError(f"{self.path}: line {lineno}: non-finite value for {word!r}")
+        table = {**self.built, **dict(zip(parsed, values))}
+        return np.array([table[i] for i in ids], dtype=np.float64).reshape(len(ids), self.dim)
 
 
 def load_embeddings(path, expected_dim: int, seed: int = 0) -> EmbeddingMatrix:
-    """Parse word2vec text vectors and attach the special rows.
+    """Index word2vec text vectors and attach the special rows.
 
-    The first occurrence of a word is kept; later ones are still parsed, so
-    a malformed repeat is an error too. Values are parsed in blocks of
-    CHUNK_ROWS lines by numpy's C text reader; a block it rejects is parsed
-    again line by line with `float()`, which names the first bad line and
-    accepts the spellings numpy refuses (`1_0`, non-ASCII digits). Both
-    round correctly, so every value is the double `float()` gives.
+    Every vector line must hold `expected_dim` values; the first line that
+    does not is an error naming it, a repeated word's line included. The
+    first occurrence of a word is kept, and no value is parsed here:
+    `EmbeddingMatrix.rows` parses the rows a run asks for, so a bad value
+    on a line no run uses (an unused or repeated word) is never read.
 
     <pad> is all zeros and <oov> is a seeded truncated-normal draw, both
     regardless of file contents; placeholder rows (<user>, <number>, <url>)
     are taken from the file when present, otherwise drawn the same way.
     """
     path = Path(path)
-    lines = read_text(path).splitlines()
+    text = read_text(path)
+    # One string holds the kept rows: a string per row would outlive the load
+    # on the heap, and freed ones are not given back to the OS.
+    lines = text.splitlines(keepends=True)
     start = 0
     if lines:
         head = lines[0].split()
         if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
             start = 1
-    entries: list[tuple[int, str]] = []  # (line number, text) of each vector line
-    targets: list[int] = []  # its matrix row, -1 for a repeated word
     index: dict[str, int] = {}
-    first_lines: list[int] = []  # line number of each kept row
+    spans: list[tuple[int, int, int]] = []
+    pos = len(lines[0]) if start else 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
+        at, pos = pos, pos + len(line)
         if not line.strip():
             continue
         line = line.rstrip()
         word = line.split(" ", 1)[0]
-        entries.append((lineno, line))
-        if word in index:
-            targets.append(-1)
-        else:
-            index[word] = len(first_lines)
-            targets.append(len(first_lines))
-            first_lines.append(lineno)
-    if not entries:
-        raise ResourceFormatError(f"{path}: no embedding vectors found")
-    appended = [s for s in SPECIALS if s not in index]
-    for special in appended:
-        index[special] = len(index)
-    # A negative dim must fail on the first line below, not here.
-    matrix = np.zeros((len(index), max(expected_dim, 0)))
-    targets_arr = np.array(targets, dtype=np.intp)
-    for lo in range(0, len(entries), CHUNK_ROWS):
-        values = _parse_block(path, entries[lo : lo + CHUNK_ROWS], expected_dim)
-        rows = targets_arr[lo : lo + CHUNK_ROWS]
-        kept = rows >= 0
-        matrix[rows[kept]] = values[kept]
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:  # one check here: a check per parsed row slows loading
-        word = list(index)[bad[0]]
-        raise ResourceFormatError(
-            f"{path}: line {first_lines[bad[0]]}: non-finite value for {word!r}"
-        )
-    matrix[index[PAD]] = 0.0
-    matrix[index[OOV]] = truncated_normal(stage_rng(seed, "embeddings/<oov>"), expected_dim)
-    for special in SPECIALS[2:]:
-        if special in appended:
-            matrix[index[special]] = truncated_normal(
-                stage_rng(seed, f"embeddings/{special}"), expected_dim
+        if line.count(" ") != expected_dim:
+            raise ResourceFormatError(
+                f"{path}: line {lineno}: expected {expected_dim} values for {word!r}, "
+                f"got {line.count(' ')}"
             )
-    return EmbeddingMatrix(expected_dim, index, matrix)
+        if word not in index:
+            index[word] = len(spans)
+            spans.append((lineno, at, at + len(line)))
+    if not spans:
+        raise ResourceFormatError(f"{path}: no embedding vectors found")
+    drawn = [s for s in SPECIALS[2:] if s not in index]
+    for special in SPECIALS:
+        index.setdefault(special, len(index))
+    built = {index[PAD]: np.zeros(expected_dim)}
+    for special in (OOV, *drawn):
+        built[index[special]] = truncated_normal(
+            stage_rng(seed, f"embeddings/{special}"), expected_dim
+        )
+    return EmbeddingMatrix(path, expected_dim, index, text, spans, built)
 
 
 def _parse_block(path, block: list[tuple[int, str]], dim: int) -> np.ndarray:
-    """Values [len(block), dim] of (line number, rstripped line) pairs."""
-    text = [line for _, line in block]
-    if all(line.count(" ") == dim for line in text):
-        try:
-            return np.loadtxt(
-                text,
-                dtype=np.float64,
-                delimiter=" ",
-                usecols=range(1, dim + 1),
-                comments=None,
-                ndmin=2,
-            )
-        except ValueError:
-            pass  # parsed again below, line by line
+    """Values [len(block), dim] of (line number, rstripped line) pairs, each
+    line holding `dim` single-space-separated values after its word.
+
+    numpy's C text reader parses the block; a block it rejects is parsed
+    again line by line with `float()`, which names the first bad line and
+    accepts the spellings numpy refuses (`1_0`, non-ASCII digits). Both
+    round correctly, so every value is the double `float()` gives.
+    """
+    try:
+        return np.loadtxt(
+            [line for _, line in block],
+            dtype=np.float64,
+            delimiter=" ",
+            usecols=range(1, dim + 1),
+            comments=None,
+            ndmin=2,
+        )
+    except ValueError:
+        pass  # parsed again below, line by line
     return np.array(
-        [_parse_row(path, lineno, line, dim) for lineno, line in block], dtype=np.float64
+        [_parse_row(path, lineno, line) for lineno, line in block], dtype=np.float64
     ).reshape(len(block), dim)
 
 
-def _parse_row(path, lineno: int, line: str, dim: int) -> list[float]:
+def _parse_row(path, lineno: int, line: str) -> list[float]:
     """One vector line's values, or the error that names the line."""
-    parts = line.split(" ")
-    word, values = parts[0], parts[1:]
-    if len(values) != dim:
-        raise ResourceFormatError(
-            f"{path}: line {lineno}: expected {dim} values for {word!r}, got {len(values)}"
-        )
+    word, *values = line.split(" ")
     try:
         return [float(v) for v in values]
     except ValueError:
@@ -311,8 +320,8 @@ def build_vocab(
 
 
 def vocab_embedding_rows(vocab: Vocabulary, embeddings: EmbeddingMatrix) -> np.ndarray:
-    """Embedding matrix reordered to vocabulary ids."""
-    return embeddings.matrix[[embeddings.row_id(w) for w in vocab.words]]
+    """Embedding rows in vocabulary id order; only these rows are parsed."""
+    return embeddings.rows(vocab.words)
 
 
 @dataclass

