@@ -758,4 +758,3 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
         return (d_xs if d_xs is None else d_xs + d_xs_bw, *d_fw, *d_bw)
 
     return _record(out, (xs, *fw, *bw), bwd)
-
