@@ -18,8 +18,8 @@ from .artifacts import read_text, write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, require_files
 from .model import (
-    EMOTION_THRESHOLD, MODES, ModelConfig, forward, init_parameters, predict_emotions,
-    predict_sentiment,
+    EMOTION_THRESHOLD, MODES, TASK_EMOTION, TASK_SENTIMENT, ModelConfig, forward,
+    init_parameters,
 )
 from .nd import grad_check, set_blas_threads
 from .preprocess import SegmentationLexicon, join, normalize
@@ -37,7 +37,7 @@ from .resources import (
     load_embeddings,
     vocab_embedding_rows,
 )
-from .train import evaluate, joint_loss, train as train_model, write_report
+from .train import evaluate, infer, joint_loss, train as train_model, write_report
 from .metrics import parse_metrics, render_table
 
 GRADCHECK_TOLERANCE = 1e-3
@@ -78,6 +78,12 @@ def _load_lexicon(cfg: RunConfig) -> SegmentationLexicon:
     return _staged("lexicon", SegmentationLexicon.from_file, cfg.lexicon)
 
 
+def _load_checkpoint(path):
+    if not Path(path).is_file():
+        raise ConfigError(f"checkpoint: no such file: {path}")
+    return _staged("checkpoint", load_checkpoint, path)
+
+
 def _load_thesaurus(cfg: RunConfig) -> Thesaurus | None:
     if cfg.thesaurus is None:
         return None
@@ -99,8 +105,11 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_build_vocab(args) -> int:
-    cfg = _load_config(args, required=True)
+def _vocabulary(cfg: RunConfig, embedding_rows: bool):
+    """Load the embeddings, thesaurus and training corpus and build their
+    vocabulary; returns (vocab, thesaurus, corpus, rows), where rows are the
+    vocabulary's embedding rows when `embedding_rows`, else None. The
+    embeddings file text is freed on return, once its rows are built."""
     require_files(cfg, "embeddings", "corpus.train")
     embeddings = _staged(
         "embeddings", load_embeddings, cfg.embeddings, cfg.model.embed_dim, seed=cfg.train.seed
@@ -108,6 +117,14 @@ def cmd_build_vocab(args) -> int:
     thesaurus = _load_thesaurus(cfg)
     corpus = _staged("corpus.train", load_corpus, cfg.corpus_train)
     vocab = build_vocab(corpus, embeddings, thesaurus, cfg.model.dt_k)
+    if not embedding_rows:
+        return vocab, thesaurus, corpus, None
+    return vocab, thesaurus, corpus, _staged("embeddings", vocab_embedding_rows, vocab, embeddings)
+
+
+def cmd_build_vocab(args) -> int:
+    cfg = _load_config(args, required=True)
+    vocab = _vocabulary(cfg, embedding_rows=False)[0]
     out_dir = _ensure_out_dir(cfg)
     target = out_dir / "vocab.txt"
     write_atomic(target, "".join(w + "\n" for w in vocab.words))
@@ -118,15 +135,8 @@ def cmd_build_vocab(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args, required=True)
     model_cfg, train_cfg = cfg.model, cfg.train
-    require_files(cfg, "embeddings", "corpus.train")
-    embeddings = _staged(
-        "embeddings", load_embeddings, cfg.embeddings, model_cfg.embed_dim, seed=train_cfg.seed
-    )
-    thesaurus = _load_thesaurus(cfg)
     lexicon = _load_lexicon(cfg)
-    train_corpus = _staged("corpus.train", load_corpus, cfg.corpus_train)
-    vocab = build_vocab(train_corpus, embeddings, thesaurus, model_cfg.dt_k)
-    rows = _staged("embeddings", vocab_embedding_rows, vocab, embeddings)
+    vocab, thesaurus, train_corpus, rows = _vocabulary(cfg, embedding_rows=True)
     train_examples = encode_corpus(train_corpus, vocab, thesaurus, model_cfg.dt_k)
     if cfg.corpus_test is not None:
         require_files(cfg, "corpus.test")
@@ -136,31 +146,12 @@ def cmd_train(args) -> int:
         eval_examples = train_examples
     params = init_parameters(model_cfg, embedding_rows=rows, seed=train_cfg.seed)
     params, log = _staged("train", train_model, train_examples, params, train_cfg, model_cfg)
-    report = _staged(
-        "evaluate",
-        evaluate,
-        eval_examples,
-        params,
-        model_cfg,
-        threshold=cfg.threshold,
-        seed=train_cfg.seed,
-        epoch=len(log),
-    )
+    report = _staged("evaluate", evaluate, eval_examples, params, model_cfg,
+                     threshold=cfg.threshold, seed=train_cfg.seed, epoch=len(log))
     out_dir = _ensure_out_dir(cfg)
-    save_checkpoint(
-        out_dir / "checkpoint.bin",
-        model_cfg,
-        params,
-        vocab,
-        thesaurus=thesaurus,
-        lexicon=lexicon,
-        meta={
-            "epochs": len(log),
-            "final_loss": log[-1],
-            "seed": train_cfg.seed,
-            "threshold": cfg.threshold,
-        },
-    )
+    meta = {"epochs": len(log), "final_loss": log[-1], "seed": train_cfg.seed,
+            "threshold": cfg.threshold}
+    save_checkpoint(out_dir / "checkpoint.bin", model_cfg, params, vocab, thesaurus, lexicon, meta)
     write_report(report, out_dir / "metrics.txt", out_dir / "table.txt")
     write_atomic(
         out_dir / "train_log.txt",
@@ -174,22 +165,12 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args, required=True)
-    ckpt_path = Path(args.checkpoint) if args.checkpoint else Path(cfg.out_dir) / "checkpoint.bin"
-    if not ckpt_path.is_file():
-        raise ConfigError(f"checkpoint: no such file: {ckpt_path}")
-    ckpt = _staged("checkpoint", load_checkpoint, ckpt_path)
+    ckpt = _load_checkpoint(Path(args.checkpoint or Path(cfg.out_dir) / "checkpoint.bin"))
     require_files(cfg, "corpus.test")
     corpus = _staged("corpus.test", load_corpus, cfg.corpus_test)
     examples = encode_corpus(corpus, ckpt.vocab, ckpt.thesaurus, ckpt.config.dt_k)
-    report = _staged(
-        "evaluate",
-        evaluate,
-        examples,
-        ckpt.params,
-        ckpt.config,
-        threshold=cfg.threshold,
-        seed=cfg.train.seed,
-    )
+    report = _staged("evaluate", evaluate, examples, ckpt.params, ckpt.config,
+                     threshold=cfg.threshold, seed=cfg.train.seed)
     out_dir = _ensure_out_dir(cfg)
     write_report(report, out_dir / "eval_metrics.txt")
     print(render_table(report))
@@ -197,9 +178,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if not Path(args.checkpoint).is_file():
-        raise ConfigError(f"checkpoint: no such file: {args.checkpoint}")
-    ckpt = _staged("checkpoint", load_checkpoint, args.checkpoint)
+    ckpt = _load_checkpoint(args.checkpoint)
     threshold = ckpt.meta.get("threshold", EMOTION_THRESHOLD)
     if type(threshold) not in (int, float) or not 0.0 < threshold < 1.0:
         raise ConfigError(
@@ -211,29 +190,21 @@ def cmd_predict(args) -> int:
     tokens = normalize(args.text, ckpt.lexicon)
     if not tokens:
         raise ConfigError("input text produced no tokens")
-    example = encode_example(
-        Example("input", tokens, OTHER_SENTIMENT, tuple(0 for _ in EMOTIONS)),
-        ckpt.vocab,
-        ckpt.thesaurus,
-        ckpt.config.dt_k,
+    unlabeled = Example("input", tokens, OTHER_SENTIMENT, tuple(0 for _ in EMOTIONS))
+    example = encode_example(unlabeled, ckpt.vocab, ckpt.thesaurus, ckpt.config.dt_k)
+    [(probs, decisions)] = _staged(
+        "predict", infer, [example], ckpt.params, ckpt.config, threshold
     )
-    trace = _staged("predict", forward, example, ckpt.params, ckpt.config)
     print(f"tokens: {join(tokens)}")
-    if "sentiment" in trace.probabilities:
-        probs = trace.probabilities["sentiment"][0]
-        print(f"sentiment: {SENTIMENTS[predict_sentiment(probs)]}")
-        print(
-            "sentiment probabilities: "
-            + " ".join(f"{n}={p:.6f}" for n, p in zip(SENTIMENTS, probs))
-        )
-    if "emotion" in trace.probabilities:
-        probs = trace.probabilities["emotion"][0]
-        active = [n for n, on in zip(EMOTIONS, predict_emotions(probs, threshold)) if on]
+    if TASK_SENTIMENT in probs:
+        print(f"sentiment: {SENTIMENTS[decisions[TASK_SENTIMENT]]}")
+        print("sentiment probabilities: "
+              + " ".join(f"{n}={p:.6f}" for n, p in zip(SENTIMENTS, probs[TASK_SENTIMENT])))
+    if TASK_EMOTION in probs:
+        active = [n for n, on in zip(EMOTIONS, decisions[TASK_EMOTION]) if on]
         print(f"emotions: {' '.join(active)}")
-        print(
-            "emotion probabilities: "
-            + " ".join(f"{n}={p:.6f}" for n, p in zip(EMOTIONS, probs))
-        )
+        print("emotion probabilities: "
+              + " ".join(f"{n}={p:.6f}" for n, p in zip(EMOTIONS, probs[TASK_EMOTION])))
     return 0
 
 

@@ -20,13 +20,14 @@ interleaved stack on the calling thread, or on two threads from
 H = `nd.autodiff.PARALLEL_MIN_HIDDEN` up when two CPUs are usable, with
 bit-identical results either way. `encode` runs the embedding
 gather and the BiLSTM alone, and `forward` given a batch's states skips
-them, so inference can encode many tweets at once and run the rest of the
-pass per tweet.
+them.
 
-A pass stops at probabilities. Decisions come from `predict_sentiment`,
-the argmax over the two sigmoid outputs with index order (negative,
-positive), and `predict_emotions`, which thresholds each label at the
-caller's threshold, the boundary counting as positive.
+A pass stops at probabilities. `train.infer` is the one inference driver,
+for `evaluate` and `predict` alike: it encodes many tweets per `encode`
+call, runs the rest of `forward` per tweet, and takes the decisions with
+`predict_sentiment`, the argmax over the two sigmoid outputs with index
+order (negative, positive), and `predict_emotions`, which thresholds each
+label at the caller's threshold, the boundary counting as positive.
 """
 from __future__ import annotations
 
@@ -161,21 +162,18 @@ class ForwardTrace:
     and tests.
 
     Per-token fields are packed: the N tokens of the batch's B examples sit
-    back to back, example by example. `h` holds the BiLSTM states [N, 2H]
-    and `hhat[task]` the rows that sentence attention pools, [N, pooled_dim]
-    (`h` itself with word attention off). `primary_alpha[task]` lists each
-    token's word-attention weights, trimmed to its candidate count (empty
-    for a token without candidates), and `sentence_alpha[task]` holds the N
-    sentence-attention weights, each example's summing to 1. Per-example
-    fields have one row per example: `sentence_vector[task]` [B, pooled_dim],
-    and `logits[task]` and `probabilities[task]` [B, units]. `losses` holds
-    the per-example joint losses [B] once `train.joint_loss` has run on the
-    trace.
+    back to back, example by example. `h` holds the BiLSTM states [N, 2H].
+    `primary_alpha[task]` lists each token's word-attention weights, trimmed
+    to its candidate count (empty for a token without candidates), and
+    `sentence_alpha[task]` holds the N sentence-attention weights, each
+    example's summing to 1. Per-example fields have one row per example:
+    `sentence_vector[task]` [B, pooled_dim], and `logits[task]` and
+    `probabilities[task]` [B, units]. `losses` holds the per-example joint
+    losses [B] once `train.joint_loss` has run on the trace.
     """
 
     mode: str
     h: nd.Tensor
-    hhat: dict[str, nd.Tensor] = field(default_factory=dict)
     primary_alpha: dict[str, list[np.ndarray]] = field(default_factory=dict)
     sentence_alpha: dict[str, np.ndarray] = field(default_factory=dict)
     sentence_vector: dict[str, nd.Tensor] = field(default_factory=dict)
@@ -346,7 +344,6 @@ def forward(
         if config.primary_attention_enabled:
             alpha, hhat = primary_attention(trace.h, keys, mask, params, task)
             trace.primary_alpha[task] = [row[:n] for row, n in zip(alpha, counts)]
-        trace.hhat[task] = hhat
         alpha, pooled = secondary_attention(hhat, params, task, lengths)
         trace.sentence_alpha[task] = alpha
         if task in pooled_masks:

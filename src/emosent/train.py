@@ -1,10 +1,12 @@
-"""Seeded mini-batch training and corpus evaluation.
+"""Seeded mini-batch training, the inference driver, and corpus evaluation.
 
 Each mini-batch runs as one forward and one backward pass over its
 examples packed back to back; the gradient of the mean per-example loss
 drives one Adam step. Examples labeled "other" carry no
 sentiment target: they are dropped entirely in sentiment-only modes and
-contribute only the emotion term in joint modes.
+contribute only the emotion term in joint modes. `infer` is the one
+inference path: `evaluate` scores its decisions, and `emosent predict`
+prints them for one tweet.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .model import (
 from .resources import EncodedExample, OTHER_SENTIMENT, SENTIMENTS
 from .rng import stage_rng
 
-# Tweets per `encode` call in `evaluate`: most of a one-tweet forward is the
+# Tweets per `encode` call in `infer`: most of a one-tweet forward is the
 # BiLSTM, whose recurrence reads U once per step, so a chunk of tweets shares
 # each read. `nd.bilstm_batch_invariant` probes at most this many sequences.
 ENCODE_CHUNK = nd.autodiff.PROBE_ROWS
@@ -168,15 +170,52 @@ def train(
 
 
 def _encode_chunk(examples: Sequence[EncodedExample], model_cfg: ModelConfig) -> int:
-    """How many examples `evaluate` encodes per call: ENCODE_CHUNK when the
-    probe finds the BiLSTM batch-invariant up to the largest chunk's rows,
-    so every example's states equal those of a one-example forward, else 1."""
+    """How many examples `infer` encodes per call: 1 for a lone example,
+    which needs no probe, else ENCODE_CHUNK when the probe finds the BiLSTM
+    batch-invariant up to the largest chunk's rows, so every example's
+    states equal those of a one-example forward, else 1."""
+    if len(examples) <= 1:
+        return 1
     rows = max(
         sum(len(ex.token_ids) for ex in examples[start : start + ENCODE_CHUNK])
         for start in range(0, len(examples), ENCODE_CHUNK)
     )
     invariant = nd.bilstm_batch_invariant(model_cfg.embed_dim, model_cfg.lstm_hidden, rows)
     return ENCODE_CHUNK if invariant else 1
+
+
+def infer(
+    examples: Sequence[EncodedExample],
+    params: dict[str, nd.Tensor],
+    model_cfg: ModelConfig,
+    threshold: float = EMOTION_THRESHOLD,
+) -> list[tuple[dict[str, np.ndarray], dict[str, int | np.ndarray]]]:
+    """The inference driver of `evaluate` and `predict`: per example, a pair
+    of dicts keyed by the mode's tasks, its probabilities [units] and its
+    decisions, the sentiment index into SENTIMENTS and the emotion bits [8].
+
+    Examples are encoded up to ENCODE_CHUNK at a time, then each runs the
+    rest of `forward` on its own states, so its probabilities are bit-equal
+    to those of a one-example forward. An emotion label is present at or
+    above `threshold`, which must lie in (0, 1).
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    decide = {
+        TASK_SENTIMENT: lambda p: int(predict_sentiment(p)),
+        TASK_EMOTION: lambda p: predict_emotions(p, threshold),
+    }
+    results = []
+    chunk = _encode_chunk(examples, model_cfg)
+    for start in range(0, len(examples), chunk):
+        batch = examples[start : start + chunk]
+        states = encode(batch, params, model_cfg).data
+        ends = np.cumsum([len(ex.token_ids) for ex in batch])
+        for ex, h in zip(batch, np.split(states, ends[:-1])):
+            trace = forward(ex, params, model_cfg, states=nd.Tensor(h))
+            probs = {task: p[0] for task, p in trace.probabilities.items()}
+            results.append((probs, {task: decide[task](p) for task, p in probs.items()}))
+    return results
 
 
 def evaluate(
@@ -187,38 +226,26 @@ def evaluate(
     seed: int = 0,
     epoch: int = 0,
 ) -> MetricsReport:
-    """Score a corpus with a frozen model.
-
-    Examples are encoded up to ENCODE_CHUNK at a time, then each runs the
-    rest of `forward` on its own states, so its probabilities are bit-equal
-    to those of a one-example forward (the predict path). Sentiment is
-    scored only over gold positive/negative rows; emotion is scored over
-    every row at the given probability threshold, which must lie in (0, 1).
+    """Score a corpus with a frozen model: `infer`'s decisions against the
+    gold labels. Sentiment is scored only over gold positive/negative rows;
+    emotion is scored over every row at the given probability threshold,
+    which must lie in (0, 1).
     """
     if not examples:
         raise ValueError("evaluate needs a non-empty corpus")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    sent_gold: list[int] = []
-    sent_pred: list[int] = []
-    emo_gold: list[np.ndarray] = []
-    emo_pred: list[np.ndarray] = []
-    chunk = _encode_chunk(examples, model_cfg)
-    for start in range(0, len(examples), chunk):
-        batch = examples[start : start + chunk]
-        states = encode(batch, params, model_cfg).data
-        ends = np.cumsum([len(ex.token_ids) for ex in batch])
-        for ex, h in zip(batch, np.split(states, ends[:-1])):
-            probs = forward(ex, params, model_cfg, states=nd.Tensor(h)).probabilities
-            if TASK_SENTIMENT in probs and ex.sentiment in SENTIMENTS:
-                sent_gold.append(SENTIMENTS.index(ex.sentiment))
-                sent_pred.append(int(predict_sentiment(probs[TASK_SENTIMENT][0])))
-            if TASK_EMOTION in probs:
-                emo_gold.append(ex.emotions.astype(np.int64))
-                emo_pred.append(predict_emotions(probs[TASK_EMOTION][0], threshold))
-    tasks = model_cfg.tasks
-    sentiment = sentiment_metrics(sent_gold, sent_pred) if TASK_SENTIMENT in tasks else None
-    emotion = emotion_metrics(emo_gold, emo_pred) if TASK_EMOTION in tasks else None
+    decisions = [d for _, d in infer(examples, params, model_cfg, threshold)]
+    sentiment = emotion = None
+    if TASK_SENTIMENT in model_cfg.tasks:
+        scored = [(ex, d) for ex, d in zip(examples, decisions) if ex.sentiment in SENTIMENTS]
+        sentiment = sentiment_metrics(
+            [SENTIMENTS.index(ex.sentiment) for ex, _ in scored],
+            [d[TASK_SENTIMENT] for _, d in scored],
+        )
+    if TASK_EMOTION in model_cfg.tasks:
+        emotion = emotion_metrics(
+            [ex.emotions.astype(np.int64) for ex in examples],
+            [d[TASK_EMOTION] for d in decisions],
+        )
     return MetricsReport(model_cfg.mode, seed, epoch, sentiment, emotion)
 
 

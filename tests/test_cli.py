@@ -1,8 +1,10 @@
 """End-to-end command behavior through the in-process entry point."""
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,8 +15,9 @@ from emosent import cli, nd
 from emosent.checkpoint import HEADER_START, MAGIC, load_checkpoint, save_checkpoint
 from emosent.cli import entrypoint
 from emosent.metrics import parse_metrics
-from emosent.model import MODES
-from emosent.resources import CHUNK_ROWS
+from emosent.model import MODES, forward, init_parameters
+from emosent.preprocess import normalize
+from emosent.resources import CHUNK_ROWS, EMOTIONS, SENTIMENTS, Example, encode_example
 
 from conftest import FIXTURES, assert_gradients_clear_of_zero, corrupt_tanh_backward
 
@@ -223,6 +226,26 @@ class TestTrainCommand:
             one, two = ((tmp_path / t / artifact).read_bytes() for t in ("1", "2"))
             assert one == two, artifact
 
+    def test_embeddings_file_is_freed_before_training(self, tmp_path, monkeypatch):
+        # The matrix holds the whole file text; only its vocabulary rows are
+        # needed once they are built.
+        load, train = cli.load_embeddings, cli.train_model
+        refs = []
+
+        def loading(*args, **kwargs):
+            matrix = load(*args, **kwargs)
+            refs.append(weakref.ref(matrix))
+            return matrix
+
+        def training(*args, **kwargs):
+            assert len(refs) == 1 and refs[0]() is None, "the embeddings matrix is still alive"
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_embeddings", loading)
+        monkeypatch.setattr(cli, "train_model", training)
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", epochs=1)
+        assert entrypoint(["train", "--config", str(config)]) == 0
+
     def test_seed_flag_overrides_config(self, tmp_path):
         for seed_args in ([], ["--seed", "1"]):
             out = tmp_path / ("base" if not seed_args else "override")
@@ -333,6 +356,32 @@ class TestPredictCommand:
                 printed[threshold, text] = expected
         # The two thresholds decide differently, so the check is not vacuous.
         assert any(printed[0.3, text] != printed[0.7, text] for text in texts)
+
+    @pytest.mark.parametrize("mode, task, names", [("S1", "sentiment", SENTIMENTS),
+                                                   ("E2", "emotion", EMOTIONS)])
+    def test_single_task_checkpoint_prints_only_its_task(
+        self, trained, tmp_path, capsys, mode, task, names
+    ):
+        ckpt = load_checkpoint(trained.out / "checkpoint.bin")
+        config = dataclasses.replace(ckpt.config, mode=mode)
+        params = init_parameters(config, vocab_size=len(ckpt.vocab), seed=3)
+        path = tmp_path / f"{mode}.bin"
+        save_checkpoint(path, config, params, ckpt.vocab, ckpt.thesaurus, ckpt.lexicon)
+        text = "joyword angerword was so bad"
+        assert entrypoint(["predict", str(path), text]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        decision = "sentiment" if task == "sentiment" else "emotions"
+        assert lines.keys() == {"tokens", decision, f"{task} probabilities"}
+        unlabeled = Example("x", normalize(text, ckpt.lexicon), "other", (0,) * len(EMOTIONS))
+        example = encode_example(unlabeled, ckpt.vocab, ckpt.thesaurus, config.dt_k)
+        probs = forward(example, params, config).probabilities[task][0]
+        assert lines[f"{task} probabilities"] == " ".join(
+            f"{n}={p:.6f}" for n, p in zip(names, probs)
+        )
+        chosen = [names[int(np.argmax(probs))]] if task == "sentiment" else [
+            n for n, p in zip(names, probs) if p >= 0.5
+        ]
+        assert lines[decision].split() == chosen
 
     @pytest.mark.parametrize("option", [["--seed", "-5"], ["--config", "run.cfg"],
                                         ["--out", "out"]])

@@ -335,7 +335,6 @@ class TestForward:
         trace = forward(tiny_example(), params, config)
         assert set(trace.logits) == {TASK_SENTIMENT}
         assert trace.logits[TASK_SENTIMENT].shape == (1, 2)
-        assert trace.hhat[TASK_SENTIMENT] is trace.h
         assert trace.sentence_vector[TASK_SENTIMENT].shape == (1, 8)
 
     def test_joint_mode_has_both_branches_with_own_attention(self):

@@ -17,10 +17,11 @@ from emosent.model import (
     forward,
     init_parameters,
     predict_emotions,
+    predict_sentiment,
     trainable_names,
 )
 from emosent.resources import EMOTIONS, EncodedExample
-from emosent.train import ENCODE_CHUNK, TrainConfig, evaluate, joint_loss, train
+from emosent.train import ENCODE_CHUNK, TrainConfig, evaluate, infer, joint_loss, train
 
 from conftest import small_config
 
@@ -289,6 +290,37 @@ class TestEvaluate:
         assert report.sentiment is not None and report.emotion is not None
         assert 0.0 <= report.sentiment.macro_f1 <= 1.0
         assert 0.0 <= report.emotion.micro.f1 <= 1.0
+
+
+class TestInfer:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_example_is_not_probed_and_equals_forward(self, bundle, monkeypatch, mode):
+        def probe(*args):
+            raise AssertionError("a lone example was probed")
+
+        monkeypatch.setattr(nd, "bilstm_batch_invariant", probe)
+        config = small_config(mode)
+        params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=1)
+        ex = bundle.test_examples[0]
+        [(probs, decisions)] = infer([ex], params, config, threshold=0.4)
+        expected = {task: p[0] for task, p in forward(ex, params, config).probabilities.items()}
+        assert probs.keys() == decisions.keys() == expected.keys() == set(config.tasks)
+        for task in expected:
+            assert probs[task].tobytes() == expected[task].tobytes()
+        if TASK_SENTIMENT in expected:
+            sentiment = decisions[TASK_SENTIMENT]
+            assert type(sentiment) is int
+            assert sentiment == predict_sentiment(expected[TASK_SENTIMENT])
+        if TASK_EMOTION in expected:
+            emotions = predict_emotions(expected[TASK_EMOTION], 0.4)
+            assert decisions[TASK_EMOTION].tobytes() == emotions.tobytes()
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, bundle, threshold):
+        config = small_config("E1")
+        params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=0)
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\)"):
+            infer(bundle.test_examples[:1], params, config, threshold=threshold)
 
 
 def tiny_batch_config(mode):
