@@ -20,9 +20,7 @@ vocabulary size; each failure is a `CheckpointError` naming its field.
 
 Loading maps the payload copy-on-write and makes each tensor a view of the
 mapping: tensors are writable, writes never reach the file, and a page is
-read only when first touched. A payload that is not 8-byte aligned, as in
-files written before the header padding, is copied out of the mapping into
-an aligned arena instead. A loaded checkpoint keeps its file mapped until
+read only when first touched. A loaded checkpoint keeps its file mapped until
 its tensors are freed, so rewrite that file by rename (`write_atomic`, as
 `save_checkpoint` does), never in place.
 """
@@ -108,7 +106,7 @@ def _read_checkpoint(path, fh) -> Checkpoint:
         )
     try:
         header = json.loads(fh.read(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     if type(header) is not dict:
         raise CheckpointError(
@@ -149,9 +147,6 @@ def _read_checkpoint(path, fh) -> Checkpoint:
         raise CheckpointError(f"{path}: {available - needed} trailing bytes")
     mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
     arena = np.frombuffer(mapped, dtype="<f8", count=ends[-1], offset=offset)
-    if offset % 8:
-        # Unaligned float64 views about double a paper-dims GEMM's time.
-        arena = arena.copy()
     params = {
         name: Tensor(arena[start:end].reshape(shape), requires_grad=is_trainable(name, config))
         for (name, shape), start, end in zip(layout, [0, *ends], ends)

@@ -18,8 +18,7 @@ from .artifacts import read_text, write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, require_files
 from .model import (
-    EMOTION_THRESHOLD, MODES, TASK_EMOTION, TASK_SENTIMENT, ModelConfig, forward,
-    init_parameters,
+    MODES, TASK_EMOTION, TASK_SENTIMENT, ModelConfig, forward, init_parameters,
 )
 from .nd import grad_check, set_blas_threads
 from .preprocess import SegmentationLexicon, join, normalize
@@ -37,7 +36,9 @@ from .resources import (
     load_embeddings,
     vocab_embedding_rows,
 )
-from .train import evaluate, infer, joint_loss, train as train_model, write_report
+from .train import (
+    EMOTION_THRESHOLD, evaluate, infer, joint_loss, train as train_model, write_report,
+)
 from .metrics import parse_metrics, render_table
 
 GRADCHECK_TOLERANCE = 1e-3

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .artifacts import read_text
-from .model import EMOTION_THRESHOLD, ModelConfig
-from .train import TrainConfig
+from .model import ModelConfig
+from .train import EMOTION_THRESHOLD, TrainConfig
 
 
 class ConfigError(ValueError):

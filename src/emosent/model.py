@@ -22,12 +22,9 @@ bit-identical results either way. `encode` runs the embedding
 gather and the BiLSTM alone, and `forward` given a batch's states skips
 them.
 
-A pass stops at probabilities. `train.infer` is the one inference driver,
-for `evaluate` and `predict` alike: it encodes many tweets per `encode`
-call, runs the rest of `forward` per tweet, and takes the decisions with
-`predict_sentiment`, the argmax over the two sigmoid outputs with index
-order (negative, positive), and `predict_emotions`, which thresholds each
-label at the caller's threshold, the boundary counting as positive.
+A pass stops at probabilities; this module takes no decisions.
+`train.infer`, the one inference driver for `evaluate` and `predict`, holds
+the decision rule.
 """
 from __future__ import annotations
 
@@ -45,7 +42,6 @@ TASK_SENTIMENT = "sentiment"
 TASK_EMOTION = "emotion"
 HEAD_UNITS = {TASK_SENTIMENT: 2, TASK_EMOTION: 8}
 INIT_STD = 0.1
-EMOTION_THRESHOLD = 0.5  # default emotion decision threshold
 
 
 @dataclass(frozen=True)
@@ -158,22 +154,20 @@ def trainable_names(params: Mapping[str, nd.Tensor]) -> list[str]:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass over a batch, for inspection
-    and tests.
+    """The intermediates of one forward pass over a batch from the BiLSTM
+    states on, for inspection and tests (`encode` gives the states).
 
     Per-token fields are packed: the N tokens of the batch's B examples sit
-    back to back, example by example. `h` holds the BiLSTM states [N, 2H].
-    `primary_alpha[task]` lists each token's word-attention weights, trimmed
-    to its candidate count (empty for a token without candidates), and
-    `sentence_alpha[task]` holds the N sentence-attention weights, each
-    example's summing to 1. Per-example fields have one row per example:
-    `sentence_vector[task]` [B, pooled_dim], and `logits[task]` and
-    `probabilities[task]` [B, units]. `losses` holds the per-example joint
-    losses [B] once `train.joint_loss` has run on the trace.
+    back to back, example by example. `primary_alpha[task]` lists each
+    token's word-attention weights, trimmed to its candidate count (empty
+    for a token without candidates), and `sentence_alpha[task]` holds the N
+    sentence-attention weights, each example's summing to 1. Per-example
+    fields have one row per example: `sentence_vector[task]` [B,
+    pooled_dim], and `logits[task]` and `probabilities[task]` [B, units].
+    `losses` holds the per-example joint losses [B] once `train.joint_loss`
+    has run on the trace.
     """
 
-    mode: str
-    h: nd.Tensor
     primary_alpha: dict[str, list[np.ndarray]] = field(default_factory=dict)
     sentence_alpha: dict[str, np.ndarray] = field(default_factory=dict)
     sentence_vector: dict[str, nd.Tensor] = field(default_factory=dict)
@@ -228,8 +222,6 @@ def bilstm_forward(
     own sequence, times the `dropout` mask [N, 2H] when one is given. One
     `nd.bilstm` entry on the tape (plus the dropout product); at paper dims
     it runs the two directions on two threads."""
-    if xs.shape[0] == 0:
-        raise ValueError("bilstm_forward needs a non-empty sequence")
     fw, bw = ([params[f"lstm_{d}/{n}"] for n in ("W", "U", "b")] for d in ("fw", "bw"))
     states = nd.bilstm(xs, fw, bw, lengths)
     return states if dropout is None else nd.mul(states, dropout)
@@ -268,18 +260,6 @@ def task_heads(
         task: nd.affine(vec, params[f"{task}/V"], params[f"{task}/c"])
         for task, vec in sentence_vectors.items()
     }
-
-
-def predict_sentiment(probabilities: np.ndarray) -> np.ndarray:
-    """0 = negative, 1 = positive; one index per row of a matrix."""
-    return np.argmax(probabilities, axis=-1)
-
-
-def predict_emotions(
-    probabilities: np.ndarray, threshold: float = EMOTION_THRESHOLD
-) -> np.ndarray:
-    """Per-label decisions; the `threshold` boundary counts as positive."""
-    return (probabilities >= threshold).astype(np.int64)
 
 
 def _lengths(examples: list[EncodedExample]) -> list[int]:
@@ -327,7 +307,7 @@ def forward(
     state_mask, pooled_masks = _dropout_masks(lengths, config, train_mode, dropout_rng)
     if states is None:
         states = encode(examples, params, config, state_mask)
-    trace = ForwardTrace(config.mode, states)
+    trace = ForwardTrace()
     embedding = params["embedding"]
     if config.primary_attention_enabled:
         # Candidate lists are padded to the longest one; the stand-in row 0
@@ -340,9 +320,9 @@ def forward(
             embedding, [i for ids in candidates for i in list(ids) + [0] * (width - len(ids))]
         )
     for task in config.tasks:
-        hhat = trace.h
+        hhat = states
         if config.primary_attention_enabled:
-            alpha, hhat = primary_attention(trace.h, keys, mask, params, task)
+            alpha, hhat = primary_attention(states, keys, mask, params, task)
             trace.primary_alpha[task] = [row[:n] for row, n in zip(alpha, counts)]
         alpha, pooled = secondary_attention(hhat, params, task, lengths)
         trace.sentence_alpha[task] = alpha

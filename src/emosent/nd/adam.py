@@ -29,6 +29,9 @@ from .autodiff import Tensor
 # lock a quarter as often.
 BLOCK = 65_536
 
+# The moments' decay rates and the denominator's floor (Kingma & Ba's defaults).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -67,17 +70,14 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[dict[str, Tensor], AdamState]:
     """One bias-corrected Adam update (Kingma & Ba, arXiv:1412.6980) for
     every parameter named in `grads`; returns the new parameters and
     `state`, advanced in place.
 
-    Per element, with c1 = 1 - beta1**t and c2 = 1 - beta2**t:
-    m = beta1·m + (1-beta1)·g, v = beta2·v + ((1-beta2)·g)·g and
-    p - (lr·(m/c1)) / (sqrt(v/c2) + eps), the moments starting from 0.0.
+    Per element, with c1 = 1 - BETA1**t and c2 = 1 - BETA2**t:
+    m = BETA1·m + (1-BETA1)·g, v = BETA2·v + ((1-BETA2)·g)·g and
+    p - (lr·(m/c1)) / (sqrt(v/c2) + EPS), the moments starting from 0.0.
 
     The tensors are walked in blocks of BLOCK elements. From 2·BLOCK values
     up, under the rule of `autodiff._two_threads` (two usable CPUs,
@@ -104,7 +104,7 @@ def adam_step(
             state.m[name] = state.arenas[1][state.slots[name]].reshape(g.shape)
             state.v[name] = state.arenas[2][state.slots[name]].reshape(g.shape)
     t = state.t + 1
-    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    c1, c2 = 1.0 - BETA1**t, 1.0 - BETA2**t
     p_arena, m_arena, v_arena = state.arenas
     pieces = []
     for name, grad in checked.items():
@@ -121,16 +121,16 @@ def adam_step(
             # The first step's moments start at 0.0: it reads a zero block
             # where later steps read the arenas, which it has not filled.
             m_old, v_old = (zero[: gb.size],) * 2 if first else (m, v)
-            np.multiply(m_old, beta1, out=m)
-            np.multiply(gb, 1.0 - beta1, out=a)
+            np.multiply(m_old, BETA1, out=m)
+            np.multiply(gb, 1.0 - BETA1, out=a)
             m += a
-            np.multiply(v_old, beta2, out=v)
-            np.multiply(gb, 1.0 - beta2, out=a)
+            np.multiply(v_old, BETA2, out=v)
+            np.multiply(gb, 1.0 - BETA2, out=a)
             a *= gb
             v += a
             np.divide(v, c2, out=a)
             np.sqrt(a, out=a)
-            a += eps
+            a += EPS
             np.divide(m, c1, out=b)
             b *= lr
             b /= a

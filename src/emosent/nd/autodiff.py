@@ -95,9 +95,6 @@ class Tape:
         popped = _tape_stack.pop()
         assert popped is self
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def gradients(self, loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
         """Gradients of a scalar loss for each tensor in `wrt`.
 
@@ -171,22 +168,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """x @ W + b for one vector x or each row of a matrix x, as one tape entry.
+    """x @ W + b for each row of a matrix x [N, in], as one tape entry.
 
-    When x is a matrix that needs a gradient and rows·in·out is at least
+    When x needs a gradient and rows·in·out is at least
     AFFINE_PARALLEL_MIN_WORK, the backward pass forms g @ W.T on the worker
     thread while the calling thread forms x.T @ g, under the rule of
     `_two_threads`. Both are the same GEMMs on either schedule, written into
     arrays the calling thread allocated, so the results are bit-identical.
     """
-    if x.data.ndim not in (1, 2) or W.data.ndim != 2 or (x.shape[-1], *b.shape) != W.shape:
-        raise ShapeError(f"affine: need x [.., in], W [in, out], b [out], got {x, W, b}")
+    if x.data.ndim != 2 or W.data.ndim != 2 or (x.shape[1], *b.shape) != W.shape:
+        raise ShapeError(f"affine: need x [N, in], W [in, out], b [out], got {x, W, b}")
     xd, wd = x.data, W.data
     out = Tensor(np.dot(xd, wd) + b.data)
 
     def bwd(g):
-        if xd.ndim == 1:
-            return wd @ g, np.outer(xd, g), g
         if x.requires_grad and _two_threads(xd.shape[0] * wd.size, AFFINE_PARALLEL_MIN_WORK):
             d_x, d_w = np.empty_like(xd), np.empty_like(wd)
             _both(lambda: np.matmul(g, wd.T, out=d_x), lambda: np.matmul(xd.T, g, out=d_w), True)
@@ -519,11 +514,12 @@ def _run_directions(x_all, stack, prev, blocks, h):
 
 # Smallest hidden size at which the two directions run on two threads. Below
 # it each step's numpy calls are too short to overlap: the two threads take
-# turns holding the interpreter lock instead. Forward plus backward of one
-# 40-token sequence, single-thread BLAS, 2-vCPU x86 host, serial -> parallel:
-# H=64 6.4 -> 8.1 ms (embed 100), H=80..112 within noise of even, H=128
-# 11.5 -> 10.2 ms (embed 100) and 16.1 -> 13.8 ms (embed 300). A 16-sequence
-# batch gains from H=64 on, so one sequence sets the bound.
+# turns holding the interpreter lock instead. The bound was measured before
+# the serial schedule became one interleaved stack. Against that stack at
+# paper dims (embed 300, H=300), single-thread BLAS, 2-vCPU x86 host,
+# medians of 30, serial against two threads: a one-tweet forward 10.0
+# against 10.4 ms, a 16-tweet forward and backward 109 against 88 ms, and a
+# 48-tweet forward 113 against 57 ms.
 PARALLEL_MIN_HIDDEN = 128
 
 # Smallest rows·in·out at which `affine`'s backward forms its two GEMMs on
@@ -570,14 +566,9 @@ def _openblas_function(name: str, argtypes: tuple, restype):
     return None
 
 
-def _blas_thread_getter():
-    """The thread-count getter of numpy's bundled OpenBLAS, or None."""
-    return _openblas_function("scipy_openblas_get_num_threads64_", (), ctypes.c_int)
-
-
 def _blas_threads() -> int | None:
     """How many threads BLAS runs one product on, or None if unknown."""
-    getter = _blas_thread_getter()
+    getter = _openblas_function("scipy_openblas_get_num_threads64_", (), ctypes.c_int)
     return None if getter is None else getter()
 
 

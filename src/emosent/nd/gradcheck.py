@@ -8,6 +8,8 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 
+EPS = 1e-5  # the central-difference step
+
 
 @dataclass
 class GradCheckReport:
@@ -32,7 +34,6 @@ def relative_error(g_ad: float, g_fd: float) -> float:
 def grad_check(
     loss_fn: Callable[[dict[str, Tensor]], Tensor],
     params: dict[str, Tensor],
-    eps: float = 1e-5,
 ) -> GradCheckReport:
     """Compare tape gradients of `loss_fn` against central differences.
 
@@ -53,11 +54,11 @@ def grad_check(
         worst_here = 0.0
         for idx in np.ndindex(base.shape):
             bumped = base.copy()
-            bumped[idx] = base[idx] + eps
+            bumped[idx] = base[idx] + EPS
             plus = loss_fn({**params, name: Tensor(bumped)}).item()
-            bumped[idx] = base[idx] - eps
+            bumped[idx] = base[idx] - EPS
             minus = loss_fn({**params, name: Tensor(bumped)}).item()
-            g_fd = (plus - minus) / (2.0 * eps)
+            g_fd = (plus - minus) / (2.0 * EPS)
             err = relative_error(float(g_ad[idx]), g_fd)
             worst_here = max(worst_here, err)
             if err > worst[0]:

@@ -244,7 +244,6 @@ class Example:
 
 @dataclass
 class Corpus:
-    split: str
     examples: list[Example] = field(default_factory=list)
 
 
@@ -275,7 +274,7 @@ def load_corpus(path) -> Corpus:
             raise CorpusIntegrityError(f"{path}: line {lineno}: duplicate id {ex_id!r}")
         seen_ids.add(ex_id)
         examples.append(Example(ex_id, text.split(), sentiment, tuple(int(b) for b in bits)))
-    return Corpus(path.stem, examples)
+    return Corpus(examples)
 
 
 @dataclass

@@ -5,8 +5,8 @@ examples packed back to back; the gradient of the mean per-example loss
 drives one Adam step. Examples labeled "other" carry no
 sentiment target: they are dropped entirely in sentiment-only modes and
 contribute only the emotion term in joint modes. `infer` is the one
-inference path: `evaluate` scores its decisions, and `emosent predict`
-prints them for one tweet.
+inference path and holds the decision rule: `evaluate` scores its
+decisions, and `emosent predict` prints them for one tweet.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .metrics import (
     sentiment_metrics,
 )
 from .model import (
-    EMOTION_THRESHOLD,
     ForwardTrace,
     ModelConfig,
     TASK_EMOTION,
@@ -34,8 +33,6 @@ from .model import (
     as_batch,
     encode,
     forward,
-    predict_emotions,
-    predict_sentiment,
     trainable_names,
 )
 from .resources import EncodedExample, OTHER_SENTIMENT, SENTIMENTS
@@ -45,6 +42,7 @@ from .rng import stage_rng
 # BiLSTM, whose recurrence reads U once per step, so a chunk of tweets shares
 # each read. `nd.bilstm_batch_invariant` probes at most this many sequences.
 ENCODE_CHUNK = nd.autodiff.PROBE_ROWS
+EMOTION_THRESHOLD = 0.5  # default emotion decision threshold
 
 
 @dataclass(frozen=True)
@@ -196,14 +194,17 @@ def infer(
 
     Examples are encoded up to ENCODE_CHUNK at a time, then each runs the
     rest of `forward` on its own states, so its probabilities are bit-equal
-    to those of a one-example forward. An emotion label is present at or
-    above `threshold`, which must lie in (0, 1).
+    to those of a one-example forward. The sentiment is the argmax of the
+    two outputs, the first on a tie, and an emotion label is present at or
+    above `threshold`, which must lie in (0, 1). A non-finite logit, NaN or
+    an infinity that would pass as a probability of exactly 0 or 1, raises
+    ValueError naming its example.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     decide = {
-        TASK_SENTIMENT: lambda p: int(predict_sentiment(p)),
-        TASK_EMOTION: lambda p: predict_emotions(p, threshold),
+        TASK_SENTIMENT: lambda p: int(np.argmax(p)),
+        TASK_EMOTION: lambda p: (p >= threshold).astype(np.int64),
     }
     results = []
     chunk = _encode_chunk(examples, model_cfg)
@@ -213,6 +214,9 @@ def infer(
         ends = np.cumsum([len(ex.token_ids) for ex in batch])
         for ex, h in zip(batch, np.split(states, ends[:-1])):
             trace = forward(ex, params, model_cfg, states=nd.Tensor(h))
+            for task, logits in trace.logits.items():
+                if not np.isfinite(logits.data).all():
+                    raise ValueError(f"non-finite {task} logits for example {ex.id!r}")
             probs = {task: p[0] for task, p in trace.probabilities.items()}
             results.append((probs, {task: decide[task](p) for task, p in probs.items()}))
     return results

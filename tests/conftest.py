@@ -6,6 +6,13 @@ import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# Checkpoint headers that are JSON but that the parser refuses: nested past
+# its recursion limit, or an integer past Python's digit limit.
+UNPARSABLE_HEADERS = {
+    "nested": b'{"meta":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "digits": b'{"meta":{"n":' + b"9" * 5_000 + b"}}",
+}
+
 
 def small_config(mode="M2", **overrides):
     """Model sized for the 16-dim fixture embeddings."""

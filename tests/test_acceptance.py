@@ -167,11 +167,11 @@ def test_03_component_oracle_equivalence(announce):
         x = rng.normal(size=6)
         V, c = rng.normal(size=(6, 8)), rng.normal(size=8)
         logits = task_heads(
-            {TASK_EMOTION: nd.Tensor(x)},
+            {TASK_EMOTION: nd.Tensor(x[None])},
             {"emotion/V": nd.Tensor(V), "emotion/c": nd.Tensor(c)},
         )
         expected = oracles.affine_loops(x.tolist(), V.tolist(), c.tolist())
-        worst = max(worst, np.abs(logits[TASK_EMOTION].data - expected).max())
+        worst = max(worst, np.abs(logits[TASK_EMOTION].data[0] - expected).max())
     announce(
         "forward pieces match loop oracles",
         worst < 1e-12,

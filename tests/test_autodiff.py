@@ -64,7 +64,7 @@ class TestTape:
         with nd.Tape() as tape:
             pass
         nd.tanh(p)
-        assert len(tape) == 0
+        assert tape.entries == []
 
     def test_constants_not_differentiated(self):
         p = param([1.0, 2.0])
@@ -155,7 +155,7 @@ class TestGradientRules:
             {"z": nd.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)},
         )
 
-    @pytest.mark.parametrize("x_shape", [(3,), (4, 3)])
+    @pytest.mark.parametrize("x_shape", [(1, 3), (4, 3)])
     def test_affine(self, x_shape):
         probe = nd.Tensor(RNG.normal(size=int(np.prod(x_shape[:-1])) * 2))
         check_against_central_differences(

@@ -17,9 +17,13 @@ from emosent.cli import entrypoint
 from emosent.metrics import parse_metrics
 from emosent.model import MODES, forward, init_parameters
 from emosent.preprocess import normalize
-from emosent.resources import CHUNK_ROWS, EMOTIONS, SENTIMENTS, Example, encode_example
+from emosent.resources import (
+    CHUNK_ROWS, EMOTIONS, SENTIMENTS, Example, encode_example, load_corpus,
+)
 
-from conftest import FIXTURES, assert_gradients_clear_of_zero, corrupt_tanh_backward
+from conftest import (
+    FIXTURES, UNPARSABLE_HEADERS, assert_gradients_clear_of_zero, corrupt_tanh_backward,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -405,6 +409,49 @@ class TestEvaluateCommand:
         config = write_config(tmp_path / "run.cfg", tmp_path / "out")
         assert entrypoint(["evaluate", "--config", str(config)]) == 2
         assert "checkpoint" in capsys.readouterr().err
+
+
+class TestCorruptCheckpoint:
+    """`predict` and `evaluate` end in a named error and exit 2 on a
+    checkpoint whose header the parser refuses or whose model computes
+    non-finite outputs."""
+
+    @staticmethod
+    def command(name, checkpoint, tmp_path):
+        if name == "predict":
+            return ["predict", str(checkpoint), "joyword"]
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out")
+        return ["evaluate", "--config", str(config), "--checkpoint", str(checkpoint)]
+
+    @pytest.mark.parametrize("name", ["predict", "evaluate"])
+    @pytest.mark.parametrize("header", UNPARSABLE_HEADERS.values(), ids=UNPARSABLE_HEADERS)
+    def test_unparsable_header_exits_2_naming_the_file(self, tmp_path, name, header):
+        broken = tmp_path / "broken.bin"
+        broken.write_bytes(MAGIC + len(header).to_bytes(8, "big") + header)
+        proc = run_cli(*self.command(name, broken, tmp_path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: checkpoint: {broken}: corrupt header: ")
+
+    @pytest.mark.parametrize("name", ["predict", "evaluate"])
+    def test_non_finite_outputs_exit_2_naming_the_example(
+        self, trained, tmp_path, capsys, name
+    ):
+        ckpt = load_checkpoint(trained.out / "checkpoint.bin")
+        params = init_parameters(ckpt.config, vocab_size=len(ckpt.vocab), seed=3)
+        finite, broken = tmp_path / "finite.bin", tmp_path / "broken.bin"
+        save_checkpoint(finite, ckpt.config, params, ckpt.vocab, ckpt.thesaurus, ckpt.lexicon)
+        assert entrypoint(self.command(name, finite, tmp_path)) == 0
+        assert "nan" not in capsys.readouterr().out
+        for tensor, value in (("sentiment/V", np.nan), ("emotion/c", np.inf)):
+            data = params[tensor].data.copy()
+            data.flat[0] = value
+            params[tensor] = nd.Tensor(data)
+        save_checkpoint(broken, ckpt.config, params, ckpt.vocab, ckpt.thesaurus, ckpt.lexicon)
+        assert entrypoint(self.command(name, broken, tmp_path)) == 2
+        first = "input" if name == "predict" else load_corpus(
+            FIXTURES / "corpus_test.tsv").examples[0].id
+        assert f"non-finite sentiment logits for example {first!r}" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

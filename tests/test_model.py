@@ -13,18 +13,17 @@ from emosent.model import (
     TASK_SENTIMENT,
     _dropout_masks,
     bilstm_forward,
+    encode,
     forward,
     init_parameters,
     parameter_shapes,
-    predict_emotions,
-    predict_sentiment,
     primary_attention,
     secondary_attention,
     task_heads,
 )
 from emosent.resources import EncodedExample
 from emosent.rng import stage_rng, truncated_normal
-from emosent.train import joint_loss
+from emosent.train import infer, joint_loss
 
 from conftest import assert_gradients_clear_of_zero, gate_weights
 from oracles import (
@@ -169,7 +168,7 @@ class TestBiLSTM:
     def test_empty_sequence_rejected(self):
         config = tiny_config("M1")
         params = init_parameters(config, vocab_size=3)
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(nd.ShapeError, match=r"N>0"):
             bilstm_forward(nd.Tensor(np.zeros((0, 5))), params, config)
 
     def test_train_mode_requires_rng(self):
@@ -301,21 +300,32 @@ class TestSecondaryAttention:
             secondary_attention(nd.Tensor(np.zeros((0, 6))), sentence_params(), TASK_SENTIMENT)
 
 
+def zero_head_model(sentiment_bias=(0.0, 0.0)):
+    """An M2 model whose heads ignore the pooled vector: the sentiment
+    logits are `sentiment_bias` and the emotion logits 0."""
+    config = tiny_config("M2")
+    params = init_parameters(config, vocab_size=9, seed=0)
+    for task, units in ((TASK_SENTIMENT, 2), (TASK_EMOTION, 8)):
+        params[f"{task}/V"] = nd.Tensor(np.zeros((config.pooled_dim, units)))
+        params[f"{task}/c"] = nd.Tensor(np.zeros(units))
+    params["sentiment/c"] = nd.Tensor(sentiment_bias)
+    return params, config
+
+
 class TestTaskHeads:
     def test_zero_head_gives_half_probabilities_and_boundary_positives(self):
-        params = {
-            "emotion/V": nd.Tensor(np.zeros((6, 8))),
-            "emotion/c": nd.Tensor(np.zeros(8)),
-        }
-        logits = task_heads({TASK_EMOTION: nd.Tensor(np.arange(6.0))}, params)
-        probs = nd.sigmoid_values(logits[TASK_EMOTION].data)
-        np.testing.assert_array_equal(probs, np.full(8, 0.5))
-        np.testing.assert_array_equal(predict_emotions(probs), np.ones(8, dtype=np.int64))
+        params, config = zero_head_model()
+        [(probs, decisions)] = infer([tiny_example()], params, config, threshold=0.5)
+        np.testing.assert_array_equal(probs[TASK_EMOTION], np.full(8, 0.5))
+        np.testing.assert_array_equal(probs[TASK_SENTIMENT], np.full(2, 0.5))
+        np.testing.assert_array_equal(decisions[TASK_EMOTION], np.ones(8, dtype=np.int64))
+        assert decisions[TASK_SENTIMENT] == 0
 
     def test_sentiment_argmax_index_order(self):
-        probs = nd.sigmoid_values(np.array([2.0, -1.0]))
-        assert predict_sentiment(probs) == 0
-        assert predict_sentiment(nd.sigmoid_values(np.array([-3.0, 0.5]))) == 1
+        for bias, index in (([2.0, -1.0], 0), ([-3.0, 0.5], 1)):
+            params, config = zero_head_model(bias)
+            [(_, decisions)] = infer([tiny_example()], params, config)
+            assert decisions[TASK_SENTIMENT] == index
 
     def test_random_head_matches_loop_oracle(self):
         rng = np.random.default_rng(12)
@@ -323,9 +333,9 @@ class TestTaskHeads:
         c = rng.normal(size=2)
         x = rng.normal(size=6)
         params = {"sentiment/V": nd.Tensor(W), "sentiment/c": nd.Tensor(c)}
-        logits = task_heads({TASK_SENTIMENT: nd.Tensor(x)}, params)
+        logits = task_heads({TASK_SENTIMENT: nd.Tensor(x[None])}, params)
         expected = affine_loops(x.tolist(), W.tolist(), c.tolist())
-        assert np.abs(logits[TASK_SENTIMENT].data - expected).max() < 1e-12
+        assert np.abs(logits[TASK_SENTIMENT].data[0] - expected).max() < 1e-12
 
 
 class TestForward:
@@ -391,8 +401,10 @@ class TestForward:
             t2.sentence_vector[TASK_EMOTION].data,
             base.sentence_vector[TASK_EMOTION].data,
         )
-        for t in range(3):
-            np.testing.assert_array_equal(t2.h.data[t], base.h.data[t])
+        np.testing.assert_array_equal(
+            encode(tiny_example(), bumped, config).data,
+            encode(tiny_example(), params, config).data,
+        )
 
     def test_token_order_matters_to_encoder(self):
         config = tiny_config("M1")
@@ -547,7 +559,7 @@ class TestSequenceForwardOracle:
                     ex, params, config, train_mode=True, dropout_rng=np.random.default_rng(0)
                 )
                 joint_loss(trace, ex, config)
-            counts.append(len(tape))
+            counts.append(len(tape.entries))
         assert counts[0] <= 40
         assert counts[1] == counts[0]
 

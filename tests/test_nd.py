@@ -171,7 +171,9 @@ class TestAttend:
 
 
 class TestAffineConcatShapes:
-    @pytest.mark.parametrize("x,W,b", [((4,), (3, 2), (2,)), ((2, 3), (3, 2), (3,))])
+    @pytest.mark.parametrize(
+        "x,W,b", [((4,), (3, 2), (2,)), ((2, 3), (3, 2), (3,)), ((3,), (3, 2), (2,))]
+    )
     def test_affine_mismatch_rejected(self, x, W, b):
         with pytest.raises(nd.ShapeError, match="affine"):
             nd.affine(*(nd.Tensor(np.ones(s)) for s in (x, W, b)))

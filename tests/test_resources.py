@@ -313,27 +313,27 @@ class TestBuildVocab:
     def test_candidates_enter_vocab_even_when_unseen(self, tmp_path):
         emb = tiny_embeddings(tmp_path, ["good", "great", "nice", "awesome", "superb"])
         thes = Thesaurus({"good": ["great", "nice", "awesome", "superb"]})
-        corpus = Corpus("t", [Example("1", ["good"], "positive", (0,) * 8)])
+        corpus = Corpus([Example("1", ["good"], "positive", (0,) * 8)])
         vocab = build_vocab(corpus, emb, thes)
         assert "superb" in vocab
 
     def test_uncovered_token_resolves_to_oov(self, tmp_path):
         emb = tiny_embeddings(tmp_path, ["good"])
-        corpus = Corpus("t", [Example("1", ["good", "florble"], "positive", (0,) * 8)])
+        corpus = Corpus([Example("1", ["good", "florble"], "positive", (0,) * 8)])
         vocab = build_vocab(corpus, emb)
         assert "florble" not in vocab
         assert vocab.id_of("florble") == vocab.index[OOV]
 
     def test_empty_thesaurus_gives_covered_tokens_plus_specials(self, tmp_path):
         emb = tiny_embeddings(tmp_path, ["good", "day"])
-        corpus = Corpus("t", [Example("1", ["good", "day", "zzz"], "other", (0,) * 8)])
+        corpus = Corpus([Example("1", ["good", "day", "zzz"], "other", (0,) * 8)])
         vocab = build_vocab(corpus, emb, Thesaurus({}))
         assert vocab.words == list(SPECIALS) + ["day", "good"]
 
     def test_ids_round_trip_stably(self, tmp_path):
         emb = tiny_embeddings(tmp_path, ["good", "day", "great"])
         thes = Thesaurus({"good": ["great"]})
-        corpus = Corpus("t", [Example("1", ["good", "day"], "positive", (0,) * 8)])
+        corpus = Corpus([Example("1", ["good", "day"], "positive", (0,) * 8)])
         vocab = build_vocab(corpus, emb, thes)
         rows = vocab_embedding_rows(vocab, emb)
         for word in vocab.words:
@@ -357,7 +357,7 @@ class TestEncodeExample:
     def test_candidates_filtered_to_vocabulary(self, tmp_path):
         emb = tiny_embeddings(tmp_path, ["good", "great", "nice"])
         thes = Thesaurus({"good": ["great", "nice", "awesome", "superb"]})
-        corpus = Corpus("t", [Example("1", ["good", "day"], "positive", (0, 0, 0, 0, 1, 0, 0, 0))])
+        corpus = Corpus([Example("1", ["good", "day"], "positive", (0, 0, 0, 0, 1, 0, 0, 0))])
         vocab = build_vocab(corpus, emb, thes)
         enc = encode_example(corpus.examples[0], vocab, thes)
         assert enc.token_ids == [vocab.index["good"], vocab.index[OOV]]
@@ -367,7 +367,7 @@ class TestEncodeExample:
 
     def test_without_thesaurus_candidates_empty(self, tmp_path):
         emb = tiny_embeddings(tmp_path, ["good"])
-        corpus = Corpus("t", [Example("1", ["good"], "positive", (0,) * 8)])
+        corpus = Corpus([Example("1", ["good"], "positive", (0,) * 8)])
         vocab = build_vocab(corpus, emb)
         enc = encode_example(corpus.examples[0], vocab)
         assert enc.candidate_ids == [[]]

@@ -242,7 +242,7 @@ def test_rule_follows_cpus_blas_and_work(blas_threads, monkeypatch):
 
 
 def test_blas_probe_reads_pinned_thread_count():
-    if autodiff._blas_thread_getter() is None:
+    if autodiff._blas_threads() is None:
         pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
     path = os.pathsep.join(filter(None, [str(Path(autodiff.__file__).parents[2]),
                                          os.environ.get("PYTHONPATH")]))

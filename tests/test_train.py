@@ -16,8 +16,6 @@ from emosent.model import (
     TASK_SENTIMENT,
     forward,
     init_parameters,
-    predict_emotions,
-    predict_sentiment,
     trainable_names,
 )
 from emosent.resources import EMOTIONS, EncodedExample
@@ -26,8 +24,8 @@ from emosent.train import ENCODE_CHUNK, TrainConfig, evaluate, infer, joint_loss
 from conftest import small_config
 
 
-def fake_trace(mode, sent_logits=None, emo_logits=None):
-    trace = ForwardTrace(mode, h=[])
+def fake_trace(sent_logits=None, emo_logits=None):
+    trace = ForwardTrace()
     if sent_logits is not None:
         trace.logits[TASK_SENTIMENT] = nd.Tensor([sent_logits])
     if emo_logits is not None:
@@ -65,12 +63,12 @@ class TestTrainConfig:
 
 class TestJointLoss:
     def test_zero_logits_give_two_ln_two(self):
-        trace = fake_trace("M2", [0.0, 0.0], [0.0] * 8)
+        trace = fake_trace([0.0, 0.0], [0.0] * 8)
         loss = joint_loss(trace, example_with("positive"), small_config("M2"))
         assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_single_task_equals_its_term(self):
-        trace = fake_trace("S2", [1.5, -0.5])
+        trace = fake_trace([1.5, -0.5])
         expected = nd.sigmoid_xent(
             nd.Tensor([1.5, -0.5]), nd.Tensor([0.0, 1.0])
         ).item()
@@ -93,17 +91,17 @@ class TestJointLoss:
         )
 
     def test_other_label_contributes_only_emotion(self):
-        trace = fake_trace("M2", [3.0, -3.0], [0.0] * 8)
+        trace = fake_trace([3.0, -3.0], [0.0] * 8)
         loss = joint_loss(trace, example_with("other"), small_config("M2"))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_other_label_in_sentiment_only_trace_is_zero(self):
-        trace = fake_trace("S1", [3.0, -3.0])
+        trace = fake_trace([3.0, -3.0])
         loss = joint_loss(trace, example_with("other"), small_config("S1"))
         assert loss.item() == 0.0
 
     def test_loss_weights_scale_terms(self):
-        trace = fake_trace("M2", [0.0, 0.0], [0.0] * 8)
+        trace = fake_trace([0.0, 0.0], [0.0] * 8)
         loss = joint_loss(
             trace,
             example_with("negative"),
@@ -259,7 +257,7 @@ class TestEvaluate:
         labels = np.arange(len(EMOTIONS))
         for ex in bundle.test_examples:
             probs = forward(ex, params, config).probabilities[TASK_EMOTION][0]
-            counts[labels, ex.emotions.astype(np.int64), predict_emotions(probs, threshold)] += 1
+            counts[labels, ex.emotions.astype(np.int64), (probs >= threshold).astype(int)] += 1
         confusions = [report.emotion.confusions[label] for label in EMOTIONS]
         np.testing.assert_array_equal(confusions, counts)
         # The counts differ from what the default 0.5 boundary gives.
@@ -310,9 +308,9 @@ class TestInfer:
         if TASK_SENTIMENT in expected:
             sentiment = decisions[TASK_SENTIMENT]
             assert type(sentiment) is int
-            assert sentiment == predict_sentiment(expected[TASK_SENTIMENT])
+            assert sentiment == np.argmax(expected[TASK_SENTIMENT])
         if TASK_EMOTION in expected:
-            emotions = predict_emotions(expected[TASK_EMOTION], 0.4)
+            emotions = (expected[TASK_EMOTION] >= 0.4).astype(np.int64)
             assert decisions[TASK_EMOTION].tobytes() == emotions.tobytes()
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, float("nan")])
@@ -321,6 +319,20 @@ class TestInfer:
         params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=0)
         with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\)"):
             infer(bundle.test_examples[:1], params, config, threshold=threshold)
+
+    @pytest.mark.parametrize("name, value, task", [("sentiment/V", math.nan, "sentiment"),
+                                                   ("emotion/c", math.inf, "emotion")])
+    def test_non_finite_logit_names_the_example(self, bundle, name, value, task):
+        config = small_config("M2")
+        params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=0)
+        results = infer(bundle.test_examples, params, config)
+        assert all(np.isfinite(p).all() for probs, _ in results for p in probs.values())
+        data = params[name].data.copy()
+        data.flat[0] = value
+        params[name] = nd.Tensor(data)
+        ex = bundle.test_examples[0]
+        with pytest.raises(ValueError, match=f"non-finite {task} logits for example '{ex.id}'"):
+            infer(bundle.test_examples, params, config)
 
 
 def tiny_batch_config(mode):
