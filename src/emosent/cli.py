@@ -72,11 +72,14 @@ def _staged(stage: str, fn, *args, **kwargs):
         raise ConfigError(f"{stage}: {exc}") from None
 
 
-def _load_lexicon(cfg: RunConfig) -> SegmentationLexicon:
-    if cfg.lexicon is None:
-        return SegmentationLexicon({})
-    require_files(cfg, "lexicon")
-    return _staged("lexicon", SegmentationLexicon.from_file, cfg.lexicon)
+def _load_optional(cfg: RunConfig, key: str, cls):
+    """The resource file `key` names, loaded by `cls.from_file`; an unset
+    key gives the empty resource, `cls({})`."""
+    path = getattr(cfg, key)
+    if path is None:
+        return cls({})
+    require_files(cfg, key)
+    return _staged(key, cls.from_file, path)
 
 
 def _load_checkpoint(path):
@@ -85,18 +88,11 @@ def _load_checkpoint(path):
     return _staged("checkpoint", load_checkpoint, path)
 
 
-def _load_thesaurus(cfg: RunConfig) -> Thesaurus | None:
-    if cfg.thesaurus is None:
-        return None
-    require_files(cfg, "thesaurus")
-    return _staged("thesaurus", Thesaurus.from_file, cfg.thesaurus)
-
-
 def cmd_preprocess(args) -> int:
-    cfg = _load_config(args, required=args.config is not None)
+    cfg = _load_config(args, required=False)
     if not Path(args.input).is_file():
         raise ConfigError(f"input: no such file: {args.input}")
-    lexicon = _load_lexicon(cfg)
+    lexicon = _load_optional(cfg, "lexicon", SegmentationLexicon)
     out_dir = _ensure_out_dir(cfg)
     lines = _staged("input", read_text, args.input).splitlines()
     rendered = "".join(join(normalize(line, lexicon)) + "\n" for line in lines)
@@ -115,7 +111,7 @@ def _vocabulary(cfg: RunConfig, embedding_rows: bool):
     embeddings = _staged(
         "embeddings", load_embeddings, cfg.embeddings, cfg.model.embed_dim, seed=cfg.train.seed
     )
-    thesaurus = _load_thesaurus(cfg)
+    thesaurus = _load_optional(cfg, "thesaurus", Thesaurus)
     corpus = _staged("corpus.train", load_corpus, cfg.corpus_train)
     vocab = build_vocab(corpus, embeddings, thesaurus, cfg.model.dt_k)
     if not embedding_rows:
@@ -136,7 +132,7 @@ def cmd_build_vocab(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args, required=True)
     model_cfg, train_cfg = cfg.model, cfg.train
-    lexicon = _load_lexicon(cfg)
+    lexicon = _load_optional(cfg, "lexicon", SegmentationLexicon)
     vocab, thesaurus, train_corpus, rows = _vocabulary(cfg, embedding_rows=True)
     train_examples = encode_corpus(train_corpus, vocab, thesaurus, model_cfg.dt_k)
     if cfg.corpus_test is not None:

@@ -175,6 +175,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     thread while the calling thread forms x.T @ g, under the rule of
     `_two_threads`. Both are the same GEMMs on either schedule, written into
     arrays the calling thread allocated, so the results are bit-identical.
+    x's gradient is formed even when x needs none; the tape drops it.
     """
     if x.data.ndim != 2 or W.data.ndim != 2 or (x.shape[1], *b.shape) != W.shape:
         raise ShapeError(f"affine: need x [N, in], W [in, out], b [out], got {x, W, b}")
@@ -182,11 +183,11 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.dot(xd, wd) + b.data)
 
     def bwd(g):
-        if x.requires_grad and _two_threads(xd.shape[0] * wd.size, AFFINE_PARALLEL_MIN_WORK):
-            d_x, d_w = np.empty_like(xd), np.empty_like(wd)
-            _both(lambda: np.matmul(g, wd.T, out=d_x), lambda: np.matmul(xd.T, g, out=d_w), True)
-            return d_x, d_w, g.sum(axis=0)
-        return g @ wd.T, xd.T @ g, g.sum(axis=0)
+        work = xd.shape[0] * wd.size
+        parallel = x.requires_grad and _two_threads(work, AFFINE_PARALLEL_MIN_WORK)
+        d_x, d_w = np.empty_like(xd), np.empty_like(wd)
+        _both(lambda: np.matmul(g, wd.T, out=d_x), lambda: np.matmul(xd.T, g, out=d_w), parallel)
+        return d_x, d_w, g.sum(axis=0)
 
     return _record(out, (x, W, b), bwd)
 
@@ -202,14 +203,10 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid_values(x) -> np.ndarray:
-    """Plain-array logistic function, split on sign so exp never overflows."""
+    """Plain-array logistic function; exp(-|x|) never overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def attend(queries: Tensor, keys: Tensor, mask) -> tuple[Tensor, np.ndarray]:

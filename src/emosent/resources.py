@@ -8,7 +8,7 @@ File formats (all UTF-8):
               so a non-numeric or non-finite value on a line no run uses
               passes. An error names the first bad line;
   thesaurus   `word<TAB>cand1,cand2,...` with candidates ranked most-similar
-              first;
+              first; a run without one expands as with an empty one;
   corpus      `id<TAB>text<TAB>sentiment<TAB>b1 b2 .. b8` with the text column
               holding space-joined normalized tokens, '#' lines are comments.
 
@@ -227,7 +227,7 @@ class Thesaurus:
             entries[word] = [c.strip() for c in cands.split(",") if c.strip()]
         return cls(entries)
 
-    def expand(self, word: str, k: int = 4) -> list[str]:
+    def expand(self, word: str, k: int) -> list[str]:
         """Top-k candidates for a word, most similar first; absent → empty."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
@@ -293,10 +293,7 @@ class Vocabulary:
 
 
 def build_vocab(
-    corpus: Corpus,
-    embeddings: EmbeddingMatrix,
-    thesaurus: Thesaurus | None = None,
-    dt_k: int = 4,
+    corpus: Corpus, embeddings: EmbeddingMatrix, thesaurus: Thesaurus, dt_k: int
 ) -> Vocabulary:
     """Corpus tokens plus their thesaurus candidates, kept when embedded.
 
@@ -310,10 +307,9 @@ def build_vocab(
         for token in ex.tokens:
             if token in embeddings and token not in SPECIALS:
                 covered.add(token)
-            if thesaurus is not None:
-                for cand in thesaurus.expand(token, dt_k):
-                    if cand in embeddings and cand not in SPECIALS:
-                        covered.add(cand)
+            for cand in thesaurus.expand(token, dt_k):
+                if cand in embeddings and cand not in SPECIALS:
+                    covered.add(cand)
     words = list(SPECIALS) + sorted(covered)
     return Vocabulary(words, {w: i for i, w in enumerate(words)})
 
@@ -333,38 +329,26 @@ class EncodedExample:
 
 
 def encode_example(
-    example: Example,
-    vocab: Vocabulary,
-    thesaurus: Thesaurus | None = None,
-    dt_k: int = 4,
+    example: Example, vocab: Vocabulary, thesaurus: Thesaurus, dt_k: int
 ) -> EncodedExample:
     """Token and candidate ids for one example.
 
     Candidates survive only if they are real vocabulary entries; an <oov>
     candidate would mix a meaningless vector into the word attention.
     """
-    token_ids = [vocab.id_of(t) for t in example.tokens]
-    candidate_ids: list[list[int]] = []
-    for token in example.tokens:
-        if thesaurus is None:
-            candidate_ids.append([])
-        else:
-            candidate_ids.append(
-                [vocab.index[c] for c in thesaurus.expand(token, dt_k) if c in vocab.index]
-            )
     return EncodedExample(
         example.id,
-        token_ids,
-        candidate_ids,
+        [vocab.id_of(t) for t in example.tokens],
+        [
+            [vocab.index[c] for c in thesaurus.expand(t, dt_k) if c in vocab.index]
+            for t in example.tokens
+        ],
         example.sentiment,
         np.array(example.emotions, dtype=np.float64),
     )
 
 
 def encode_corpus(
-    corpus: Corpus,
-    vocab: Vocabulary,
-    thesaurus: Thesaurus | None = None,
-    dt_k: int = 4,
+    corpus: Corpus, vocab: Vocabulary, thesaurus: Thesaurus, dt_k: int
 ) -> list[EncodedExample]:
     return [encode_example(ex, vocab, thesaurus, dt_k) for ex in corpus.examples]

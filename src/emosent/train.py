@@ -65,8 +65,9 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("sentiment_loss_weight", "emotion_loss_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.patience is not None and self.patience < 1:
             raise ValueError(f"patience must be at least 1 when set, got {self.patience}")
 

@@ -99,7 +99,7 @@ def bundle(lexicon):
     thesaurus = Thesaurus.from_file(FIXTURES / "thesaurus.tsv")
     train_corpus = load_corpus(FIXTURES / "corpus_train.tsv")
     test_corpus = load_corpus(FIXTURES / "corpus_test.tsv")
-    vocab = build_vocab(train_corpus, embeddings, thesaurus)
+    vocab = build_vocab(train_corpus, embeddings, thesaurus, 4)
     return SimpleNamespace(
         embeddings=embeddings,
         thesaurus=thesaurus,
@@ -108,6 +108,6 @@ def bundle(lexicon):
         test_corpus=test_corpus,
         vocab=vocab,
         embedding_rows=vocab_embedding_rows(vocab, embeddings),
-        train_examples=encode_corpus(train_corpus, vocab, thesaurus),
-        test_examples=encode_corpus(test_corpus, vocab, thesaurus),
+        train_examples=encode_corpus(train_corpus, vocab, thesaurus, 4),
+        test_examples=encode_corpus(test_corpus, vocab, thesaurus, 4),
     )

@@ -18,6 +18,19 @@ def sigmoid_scalar(x: float) -> float:
     return e / (1.0 + e)
 
 
+def sigmoid_by_sign(x) -> np.ndarray:
+    """Logistic of an array, each sign's entries in their own half so exp
+    never overflows: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
+    below."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def softmax_list(scores):
     top = max(scores)
     exps = [math.exp(s - top) for s in scores]

@@ -7,10 +7,14 @@ catches a broken call or an unattributed tape entry. It runs both
 workloads: the paper-dims one sends `nd.bilstm`'s two-thread schedule
 through the benchmark's gradient, repeat, predict == evaluate and tape
 attribution checks, the fixture-dims one its serial schedule. A name
-the benchmark reads that the program lacks fails a fast check first,
-which names it.
+the benchmark reads that the program lacks, or a call it makes that no
+longer fits its callee's signature, fails a fast check first, which names
+it.
 """
+import ast
+import functools
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -50,3 +54,62 @@ def test_every_name_the_benchmark_uses_resolves():
     missing += [f"{cls.__name__}.{attr}" for _, cls, attr in tracer._classmethods(E)
                 if not isinstance(vars(cls).get(attr), classmethod)]
     assert not missing, f"the benchmark reads names the program lacks: {missing}"
+
+
+# Names the benchmark binds to the package or one of its modules.
+BENCH_ROOTS = {("E",): (), ("self", "E"): (), ("emosent",): (), ("R",): ("resources",)}
+# Calls the program makes to names the self-test swaps out, in the form its
+# stand-ins accept: (dotted name, positional count, keywords).
+SWAPPED_CALLS = [
+    ("nd.adam_step", 3, ("lr",)),
+    ("nd.Tape.gradients", 3, ()),
+    ("model.task_heads", 2, ()),
+]
+
+
+def _dotted(node) -> list[str] | None:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def bench_calls():
+    """(where, dotted name below the package, positional count, keywords) of
+    each call `bench/run.py` and `bench/selftest.py` make into the package,
+    except those that pass `*args` or `**kwargs`."""
+    for script in ("run.py", "selftest.py"):
+        tree = ast.parse((ROOT / "bench" / script).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or (parts := _dotted(node.func)) is None:
+                continue
+            root = next((r for r in BENCH_ROOTS if tuple(parts[: len(r)]) == r), None)
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            if root is None or spread:
+                continue
+            name = ".".join([*BENCH_ROOTS[root], *parts[len(root):]])
+            keywords = tuple(k.arg for k in node.keywords)
+            yield f"bench/{script}:{node.lineno}", name, len(node.args), keywords
+
+
+def test_every_call_the_benchmark_makes_fits_its_signature():
+    import emosent
+    import emosent.cli  # noqa: F401  binds every module the benchmark calls into
+
+    calls = list(bench_calls())
+    names = {name for _, name, _, _ in calls}
+    for expected in ("resources.build_vocab", "resources.encode_corpus",
+                     "resources.encode_example", "checkpoint.save_checkpoint",
+                     "model.forward", "train.joint_loss", "model.ModelConfig"):
+        assert expected in names, f"no call to {expected} found in bench/"
+    bad = []
+    for where, name, positional, keywords in calls + [("program", *c) for c in SWAPPED_CALLS]:
+        target = functools.reduce(getattr, name.split("."), emosent)
+        try:
+            inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            bad.append(f"{where} {name}: {exc}")
+    assert not bad, "calls that no longer fit their callee: " + "; ".join(bad)

@@ -178,6 +178,17 @@ class TestTrainCommand:
         for artifact in artifacts:
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
+    def test_unset_thesaurus_trains_as_an_empty_one(self, tmp_path):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        for name, thesaurus in (("unset", None), ("empty", empty)):
+            config = write_config(tmp_path / f"{name}.cfg", tmp_path / name, epochs=3,
+                                  thesaurus=thesaurus)
+            assert entrypoint(["train", "--config", str(config)]) == 0
+        for artifact in ("checkpoint.bin", "metrics.txt", "train_log.txt"):
+            unset, empty_run = ((tmp_path / n / artifact).read_bytes() for n in ("unset", "empty"))
+            assert unset == empty_run, artifact
+
     def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
         # BLAS reads its thread count once, at load, so each run needs its
         # own process.
@@ -554,14 +565,20 @@ class TestPreprocessAndVocabCommands:
             pytest.param(
                 "sentiment_loss_weight",
                 -1,
-                "sentiment_loss_weight must be non-negative",
+                "sentiment_loss_weight must be finite and non-negative, got -1.0",
                 id="sentiment_loss_weight",
             ),
             pytest.param(
                 "emotion_loss_weight",
                 -1,
-                "emotion_loss_weight must be non-negative",
+                "emotion_loss_weight must be finite and non-negative, got -1.0",
                 id="emotion_loss_weight",
+            ),
+            *(
+                pytest.param(key, value, f"{key} must be finite and non-negative, got {value}",
+                             id=f"{key}-{value}")
+                for key in ("sentiment_loss_weight", "emotion_loss_weight")
+                for value in ("nan", "inf")
             ),
         ],
     )

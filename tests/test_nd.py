@@ -10,7 +10,9 @@ from emosent import nd
 from emosent.nd import autodiff
 
 from emosent.nd.adam import BLOCK
-from oracles import adam_step_per_tensor, dropout_mask, sigmoid_xent_highprec, softmax_list
+from oracles import (
+    adam_step_per_tensor, dropout_mask, sigmoid_by_sign, sigmoid_xent_highprec, softmax_list,
+)
 
 finite_vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=12
@@ -222,6 +224,26 @@ class TestSoftmax:
         out = self.softmax(scores)
         assert abs(out.sum() - 1.0) <= 1e-12
         assert np.all(out > 0.0) and np.all(out <= 1.0)
+
+
+class TestSigmoidValues:
+    def inputs(self):
+        rng = np.random.default_rng(19)
+        scales = np.logspace(-3, np.log10(800), 12)
+        edges = [0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 745.0, -745.0,
+                 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310, -1e-310]
+        return np.concatenate([(rng.standard_normal((len(scales), 64)) * scales[:, None]).ravel(),
+                               edges])
+
+    def test_matches_the_split_by_sign_byte_for_byte(self):
+        x = self.inputs()
+        assert nd.sigmoid_values(x).tobytes() == sigmoid_by_sign(x).tobytes()
+        rows = x[:64].reshape(8, 8)
+        assert nd.sigmoid_values(rows).tobytes() == sigmoid_by_sign(rows).tobytes()
+
+    def test_nan_stays_nan(self):
+        out = nd.sigmoid_values(np.array([np.nan, -np.nan, 1.0]))
+        assert np.isnan(out[:2]).all() and out[2] == sigmoid_by_sign(1.0)
 
 
 class TestSigmoidXent:

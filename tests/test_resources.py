@@ -219,7 +219,7 @@ class TestThesaurus:
         assert thes.expand("good", 4) == ["great", "nice", "awesome", "superb"]
 
     def test_absent_headword(self):
-        assert Thesaurus({}).expand("zzzq") == []
+        assert Thesaurus({}).expand("zzzq", 4) == []
 
     def test_short_list_not_padded(self):
         thes = Thesaurus({"big": ["large", "huge"]})
@@ -314,27 +314,27 @@ class TestBuildVocab:
         emb = tiny_embeddings(tmp_path, ["good", "great", "nice", "awesome", "superb"])
         thes = Thesaurus({"good": ["great", "nice", "awesome", "superb"]})
         corpus = Corpus([Example("1", ["good"], "positive", (0,) * 8)])
-        vocab = build_vocab(corpus, emb, thes)
+        vocab = build_vocab(corpus, emb, thes, 4)
         assert "superb" in vocab
 
     def test_uncovered_token_resolves_to_oov(self, tmp_path):
         emb = tiny_embeddings(tmp_path, ["good"])
         corpus = Corpus([Example("1", ["good", "florble"], "positive", (0,) * 8)])
-        vocab = build_vocab(corpus, emb)
+        vocab = build_vocab(corpus, emb, Thesaurus({}), 4)
         assert "florble" not in vocab
         assert vocab.id_of("florble") == vocab.index[OOV]
 
     def test_empty_thesaurus_gives_covered_tokens_plus_specials(self, tmp_path):
         emb = tiny_embeddings(tmp_path, ["good", "day"])
         corpus = Corpus([Example("1", ["good", "day", "zzz"], "other", (0,) * 8)])
-        vocab = build_vocab(corpus, emb, Thesaurus({}))
+        vocab = build_vocab(corpus, emb, Thesaurus({}), 4)
         assert vocab.words == list(SPECIALS) + ["day", "good"]
 
     def test_ids_round_trip_stably(self, tmp_path):
         emb = tiny_embeddings(tmp_path, ["good", "day", "great"])
         thes = Thesaurus({"good": ["great"]})
         corpus = Corpus([Example("1", ["good", "day"], "positive", (0,) * 8)])
-        vocab = build_vocab(corpus, emb, thes)
+        vocab = build_vocab(corpus, emb, thes, 4)
         rows = vocab_embedding_rows(vocab, emb)
         for word in vocab.words:
             i = vocab.index[word]
@@ -345,7 +345,7 @@ class TestBuildVocab:
     def test_embedding_rows_equal_per_word_lookup(self, fixtures_dir):
         emb = load_embeddings(fixtures_dir / "embeddings.txt", 16)
         thes = Thesaurus.from_file(fixtures_dir / "thesaurus.tsv")
-        vocab = build_vocab(load_corpus(fixtures_dir / "corpus_train.tsv"), emb, thes)
+        vocab = build_vocab(load_corpus(fixtures_dir / "corpus_train.tsv"), emb, thes, 4)
         rows = vocab_embedding_rows(vocab, emb)
         expected = np.vstack([emb.rows([w]) for w in vocab.words])
         assert rows.dtype == expected.dtype and rows.shape == expected.shape
@@ -358,8 +358,8 @@ class TestEncodeExample:
         emb = tiny_embeddings(tmp_path, ["good", "great", "nice"])
         thes = Thesaurus({"good": ["great", "nice", "awesome", "superb"]})
         corpus = Corpus([Example("1", ["good", "day"], "positive", (0, 0, 0, 0, 1, 0, 0, 0))])
-        vocab = build_vocab(corpus, emb, thes)
-        enc = encode_example(corpus.examples[0], vocab, thes)
+        vocab = build_vocab(corpus, emb, thes, 4)
+        enc = encode_example(corpus.examples[0], vocab, thes, 4)
         assert enc.token_ids == [vocab.index["good"], vocab.index[OOV]]
         assert enc.candidate_ids == [[vocab.index["great"], vocab.index["nice"]], []]
         assert enc.emotions.dtype == np.float64
@@ -368,8 +368,8 @@ class TestEncodeExample:
     def test_without_thesaurus_candidates_empty(self, tmp_path):
         emb = tiny_embeddings(tmp_path, ["good"])
         corpus = Corpus([Example("1", ["good"], "positive", (0,) * 8)])
-        vocab = build_vocab(corpus, emb)
-        enc = encode_example(corpus.examples[0], vocab)
+        vocab = build_vocab(corpus, emb, Thesaurus({}), 4)
+        enc = encode_example(corpus.examples[0], vocab, Thesaurus({}), 4)
         assert enc.candidate_ids == [[]]
 
 
@@ -380,8 +380,8 @@ class TestBundledFixtures:
         train = load_corpus(fixtures_dir / "corpus_train.tsv")
         test = load_corpus(fixtures_dir / "corpus_test.tsv")
         assert len(train.examples) == 32 and len(test.examples) == 8
-        vocab = build_vocab(train, emb, thes)
-        encoded = resources.encode_corpus(train, vocab, thes)
+        vocab = build_vocab(train, emb, thes, 4)
+        encoded = resources.encode_corpus(train, vocab, thes, 4)
         assert all(len(e.token_ids) == len(e.candidate_ids) for e in encoded)
         assert "joysyna" in vocab
         labels = {e.sentiment for e in train.examples}

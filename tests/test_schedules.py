@@ -306,8 +306,8 @@ def test_affine_gradients_match(x_trainable, monkeypatch):
         with nd.Tape() as tape:
             nd.affine(x, W, b)
         results[parallel] = tape.entries[0].backward(g)
-        # A frozen x keeps the serial pair of GEMMs.
-        assert flags == ([True] if parallel and x_trainable else [])
+        # Both schedules hand the pair of GEMMs to `_both`; a frozen x keeps it serial.
+        assert flags == [parallel and x_trainable]
     for serial, threaded in zip(results[False], results[True]):
         assert np.array_equal(serial, threaded)
 
