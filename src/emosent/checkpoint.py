@@ -46,7 +46,7 @@ MAGIC = b"EMOSENT-CHECKPOINT-1\n"
 FORMAT_VERSION = 2
 PAYLOAD_ALIGN = 64
 HEADER_START = len(MAGIC) + 8
-CONFIG_TYPES = {f.name: type(f.default) for f in fields(ModelConfig)}
+CONFIG_KEYS = {f.name for f in fields(ModelConfig)}
 
 
 class CheckpointError(ValueError):
@@ -176,16 +176,14 @@ def _resource(path, header: dict, key: str, cls):
 
 
 def _config(path, stored: dict) -> ModelConfig:
-    unknown = sorted(stored.keys() - CONFIG_TYPES.keys())
-    missing = sorted(CONFIG_TYPES.keys() - stored.keys())
+    unknown = sorted(stored.keys() - CONFIG_KEYS)
+    missing = sorted(CONFIG_KEYS - stored.keys())
     if unknown or missing:
         raise CheckpointError(f"{path}: config keys unknown {unknown}, missing {missing}")
-    for key, kind in CONFIG_TYPES.items():
-        value = stored[key]
-        if type(value) is not kind and not (kind is float and type(value) is int):
-            raise CheckpointError(f"{path}: config.{key}: expected {kind.__name__}, got {value!r}")
     try:
         return ModelConfig(**stored)
+    except TypeError as exc:
+        raise CheckpointError(f"{path}: config.{exc}") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad config: {exc}") from None
 

@@ -28,7 +28,7 @@ the decision rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -55,6 +55,10 @@ class ModelConfig:
     train_embeddings: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise TypeError(f"{f.name}: expected {kind.__name__}, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("embed_dim", "lstm_hidden", "context_dim", "dt_k"):

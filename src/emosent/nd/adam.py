@@ -82,7 +82,7 @@ def adam_step(
     The tensors are walked in blocks of BLOCK elements. From 2·BLOCK values
     up, under the rule of `autodiff._two_threads` (two usable CPUs,
     single-threaded BLAS), the blocks are cut into two runs of nearly equal
-    element counts, and the worker thread updates one run while the calling
+    element counts, and a second thread updates one run while the calling
     thread updates the other, each with its own scratch. Every element gets
     the same arithmetic on either schedule, so the results are bit-identical.
 

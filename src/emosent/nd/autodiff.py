@@ -6,11 +6,11 @@ layer, masked attention, attention pooling and a bidirectional LSTM, each
 one tape entry for a whole batch of sequences), and a tape that records
 ops in execution order (which is already a topological order) and replays
 them backwards. Ops record on the calling thread only; `bilstm`, the
-backward pass of `affine` and `adam_step` may hand half their work to one
-worker thread (see `_two_threads`), but each op records one entry. One
-kernel, `_run_directions`, runs `bilstm`'s LSTM directions on either
-schedule: both as one interleaved stack on the calling thread, or one per
-thread.
+backward pass of `affine` and `adam_step` may hand half their work to a
+thread started for that hand-off (see `_both`), but each op records one
+entry. One kernel, `_run_directions`, runs `bilstm`'s LSTM directions on
+either schedule: both as one interleaved stack on the calling thread, or
+one per thread.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import functools
 import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -171,7 +170,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W + b for each row of a matrix x [N, in], as one tape entry.
 
     When x needs a gradient and rows·in·out is at least
-    AFFINE_PARALLEL_MIN_WORK, the backward pass forms g @ W.T on the worker
+    AFFINE_PARALLEL_MIN_WORK, the backward pass forms g @ W.T on a second
     thread while the calling thread forms x.T @ g, under the rule of
     `_two_threads`. Both are the same GEMMs on either schedule, written into
     arrays the calling thread allocated, so the results are bit-identical.
@@ -520,27 +519,12 @@ def _run_directions(x_all, stack, prev, blocks, h):
 PARALLEL_MIN_HIDDEN = 128
 
 # Smallest rows·in·out at which `affine`'s backward forms its two GEMMs on
-# two threads. Below it the hand-off to the worker costs more than the
+# two threads. Below it the hand-off to a second thread costs more than the
 # second core saves. One backward pass, single-thread BLAS, 2-vCPU x86 host,
 # median of 41, serial -> two threads: rows·in·out 1.3e5 30 -> 180 us,
 # 2.1e6 300 -> 420 us, 4e6 to 1.8e7 either side of even from run to run,
 # 4.05e7 (300x900x150) 6.1 -> 4.7 ms, 5.4e7 (300x600x300) 7.2 -> 5.1 ms.
 AFFINE_PARALLEL_MIN_WORK = 1 << 24
-
-# The one worker thread, started on first use.
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
-    """A forked child has no worker thread; it starts its own on first use."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
 
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
@@ -583,10 +567,10 @@ def set_blas_threads(count: int) -> int | None:
 
 def _two_threads(work: int, floor: int) -> bool:
     """The rule every two-thread schedule in `nd` follows: hand half the work
-    to the worker thread only when the work is at least `floor`, this
+    to a second thread only when the work is at least `floor`, this
     process may run on two CPUs, and BLAS runs one thread (or its thread
     count is unknown). A multi-threaded BLAS already spreads each product
-    over the cores, and a worker would compete with its threads: under two
+    over the cores, and another thread would compete with them: under two
     BLAS threads a paper-dims M2 `train()` on 32 tweets took 358 ms serial
     and 371 ms on this schedule (README, Threads)."""
     return work >= floor and _usable_cpus() >= 2 and _blas_threads() in (None, 1)
@@ -657,22 +641,28 @@ def _rows_invariant(inner: int, cols: int, bound: int, threads: int | None, dept
 
 
 def _both(first: Callable, second: Callable, parallel: bool) -> tuple:
-    """(first(), second()); in parallel, `first` runs on the worker thread
-    while the calling thread runs `second`."""
+    """(first(), second()); in parallel, `first` runs on a new thread, joined
+    before this returns or raises, while the calling thread runs `second`. If
+    both fail, `first`'s error is raised with `second`'s as its context."""
     if not parallel:
         return first(), second()
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nd-bilstm")
-        pending = _worker.submit(first)
+    done = {}
+
+    def run():
+        try:
+            done["result"] = first()
+        except BaseException as exc:  # raised again on the calling thread
+            done["error"] = exc
+
+    worker = threading.Thread(target=run, name="nd-half")
+    worker.start()
     try:
         other = second()
     finally:
-        # Wait for the worker even when this thread failed, so no direction
-        # is still running once bilstm returns or raises.
-        result = pending.result()
-    return result, other
+        worker.join()
+        if "error" in done:
+            raise done["error"]
+    return done["result"], other
 
 
 def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None) -> Tensor:
@@ -702,7 +692,7 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
     work for both is one numpy call, with one GEMM per direction. From
     H = PARALLEL_MIN_HIDDEN up, under the rule of `_two_threads` (two usable
     CPUs, single-threaded BLAS), the forward direction runs as a stack of
-    one on the worker thread while the calling thread runs the backward one,
+    one on a second thread while the calling thread runs the backward one,
     in both passes. Each direction does the same arithmetic on either
     schedule, so the results are bit-identical.
     """

@@ -224,6 +224,8 @@ class Thesaurus:
                     f"{path}: line {lineno}: expected 'word<TAB>candidates'"
                 )
             word, cands = parts
+            if word in entries:
+                raise ResourceFormatError(f"{path}: line {lineno}: repeated headword {word!r}")
             entries[word] = [c.strip() for c in cands.split(",") if c.strip()]
         return cls(entries)
 

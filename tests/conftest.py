@@ -1,3 +1,4 @@
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -69,6 +70,15 @@ def gate_weights(params, prefix):
         for gate, block in zip("ifgo", blocks):
             weights[f"{name}_{gate}"] = block.tolist()
     return weights
+
+
+@pytest.fixture(autouse=True)
+def no_nd_thread_outlives_the_test():
+    """`nd` joins every thread it starts (named `nd-...`) before the op that
+    started it returns, so none may be alive once a test is over."""
+    yield
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("nd-")]
+    assert not alive, f"nd threads still alive after the test: {alive}"
 
 
 @pytest.fixture(scope="session")

@@ -138,6 +138,18 @@ class TestTrainCommand:
         assert err == f"error: embeddings: {embeddings}: line 3: {kind} value for {word!r}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["build-vocab", "train"])
+    def test_repeated_thesaurus_headword_names_its_line(self, tmp_path, capsys, command):
+        text = (FIXTURES / "thesaurus.tsv").read_text(encoding="utf-8")
+        thesaurus = tmp_path / "thesaurus.tsv"
+        thesaurus.write_text(text + "good\tnice\n", encoding="utf-8")
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", thesaurus=thesaurus)
+        assert entrypoint([command, "--config", str(config)]) == 2
+        line = len(text.splitlines()) + 1
+        err = capsys.readouterr().err
+        assert err == f"error: thesaurus: {thesaurus}: line {line}: repeated headword 'good'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_loss_fails_before_writing(self, tmp_path, capsys, monkeypatch):
         import emosent.cli as cli
 

@@ -93,6 +93,25 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(mode="X9")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("train_embeddings", "no", "train_embeddings: expected bool, got 'no'"),
+        ("embed_dim", 2.5, "embed_dim: expected int, got 2.5"),
+        ("dt_k", 1.5, "dt_k: expected int, got 1.5"),
+        ("lstm_hidden", True, "lstm_hidden: expected int, got True"),
+        ("mode", 2, "mode: expected str, got 2"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, field, value, message):
+        with pytest.raises(TypeError) as caught:
+            ModelConfig(**{field: value})
+        assert str(caught.value) == message
+
+    def test_types_are_checked_ahead_of_ranges(self):
+        with pytest.raises(TypeError, match="train_embeddings: expected bool"):
+            ModelConfig(embed_dim=0, train_embeddings="no")
+
+    def test_int_is_a_float_value(self):
+        assert ModelConfig(dropout_rate=0).dropout_rate == 0
+
     def test_word_attention_params_only_when_enabled(self):
         assert "sentiment/W_w" not in parameter_shapes(ModelConfig(mode="S1"), 5)
         assert "sentiment/W_w" in parameter_shapes(ModelConfig(mode="S2"), 5)

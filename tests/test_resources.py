@@ -248,6 +248,14 @@ class TestThesaurus:
         with pytest.raises(ResourceFormatError, match="line 2"):
             Thesaurus.from_file(f)
 
+    def test_repeated_headword_names_its_line(self, tmp_path, fixtures_dir):
+        text = (fixtures_dir / "thesaurus.tsv").read_text(encoding="utf-8")
+        f = write(tmp_path / "t.tsv", text + "good\tnice\n")
+        line = len(text.splitlines()) + 1
+        with pytest.raises(ResourceFormatError) as caught:
+            Thesaurus.from_file(f)
+        assert str(caught.value) == f"{f}: line {line}: repeated headword 'good'"
+
 
 class TestLoadCorpus:
     def test_field_mapping(self, tmp_path):

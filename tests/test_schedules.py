@@ -1,6 +1,6 @@
 """`nd.bilstm` gives bit-identical results on either schedule: its two
 directions one after the other on the calling thread, or the forward one on
-the worker thread at the same time. So do `nd.affine`'s backward pass and
+a second thread at the same time. So do `nd.affine`'s backward pass and
 `nd.adam_step`, and a whole training run. On both, a frozen input of
 `nd.bilstm` or `nd.attend` gets no gradient and changes no other one. The
 schedule follows one rule (`autodiff._two_threads`), which keeps everything
@@ -11,6 +11,7 @@ import queue
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +67,23 @@ def record_schedules(monkeypatch):
     return flags
 
 
-def worker_running():
-    return any(t.name.startswith("nd-bilstm") for t in threading.enumerate())
+def record_first_threads(monkeypatch):
+    """The list that collects, for every `_both` call, whether its `first`
+    ran on a thread other than the caller's. It wraps whatever `_both` is
+    in place, so a `record_schedules` made before it keeps recording."""
+    elsewhere, both = [], autodiff._both
+
+    def recorded(first, second, parallel):
+        caller = threading.get_ident()
+
+        def traced():
+            elsewhere.append(threading.get_ident() != caller)
+            return first()
+
+        return both(traced, second, parallel)
+
+    monkeypatch.setattr(autodiff, "_both", recorded)
+    return elsewhere
 
 
 def bilstm_outputs_and_gradients(hidden, seed=0, lengths=LENGTHS, xs_trainable=True):
@@ -95,10 +111,13 @@ def bilstm_outputs_and_gradients(hidden, seed=0, lengths=LENGTHS, xs_trainable=T
 @pytest.mark.parametrize("hidden", HIDDEN_SIZES)
 def test_bilstm_outputs_and_gradients_match(hidden, monkeypatch):
     results = {}
+    elsewhere = record_first_threads(monkeypatch)
     for parallel in (False, True):
         force_schedule(monkeypatch, parallel)
         results[parallel] = bilstm_outputs_and_gradients(hidden)
-    assert worker_running()
+    # The serial schedule makes no hand-off; the forward and backward passes
+    # of the two-thread one each run their first half on another thread.
+    assert elsewhere == [True, True]
     for serial, threaded in zip(results[False], results[True]):
         assert np.array_equal(serial, threaded)
 
@@ -130,6 +149,7 @@ def test_stack_of_two_matches_two_threads_byte_for_byte(hidden, xs_trainable, le
 def test_trained_parameters_match(hidden, monkeypatch, bundle):
     config = small_config("M2", lstm_hidden=hidden, dropout_rate=0.5)
     trained = {}
+    elsewhere = record_first_threads(monkeypatch)
     for parallel in (False, True):
         force_schedule(monkeypatch, parallel)
         params = init_parameters(config, embedding_rows=bundle.embedding_rows, seed=3)
@@ -137,7 +157,7 @@ def test_trained_parameters_match(hidden, monkeypatch, bundle):
             bundle.train_examples, params,
             TrainConfig(batch_size=8, lr=0.01, epochs=2, seed=3), config,
         )
-    assert worker_running()
+    assert any(elsewhere)
     for name, p in trained[False].items():
         assert np.array_equal(p.data, trained[True][name].data), name
 
@@ -156,11 +176,10 @@ def _run_in_child(results):
 
 
 def test_forked_child_runs_the_parallel_schedule(monkeypatch):
-    # The parent's worker thread does not survive a fork; the child must
-    # start its own rather than wait on a thread that is not there.
+    # The parent has run the two-thread schedule before the fork; the child
+    # runs it again on threads of its own.
     force_schedule(monkeypatch, True)
     expected = bilstm_outputs_and_gradients(8)[0]
-    assert worker_running()
     context = multiprocessing.get_context("fork")
     results = context.Queue()
     child = context.Process(target=_run_in_child, args=(results,))
@@ -241,18 +260,24 @@ def test_rule_follows_cpus_blas_and_work(blas_threads, monkeypatch):
         assert autodiff._run_directions_in_parallel(autodiff.PARALLEL_MIN_HIDDEN) == expected
 
 
+def run_in_python(code, **env):
+    """Run `code` in a fresh interpreter that imports this checkout's
+    `emosent`, `env` added to the environment; fails after 60 s."""
+    path = os.pathsep.join(filter(None, [str(Path(autodiff.__file__).parents[2]),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.strip()
+
+
 def test_blas_probe_reads_pinned_thread_count():
     if autodiff._blas_threads() is None:
         pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
-    path = os.pathsep.join(filter(None, [str(Path(autodiff.__file__).parents[2]),
-                                         os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", "from emosent.nd import autodiff; print(autodiff._blas_threads())"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "1"
+    code = "from emosent.nd import autodiff; print(autodiff._blas_threads())"
+    assert run_in_python(code, OPENBLAS_NUM_THREADS="1") == "1"
 
 
 def as_bytes(arrays):
@@ -329,18 +354,56 @@ def train_wide(bundle, monkeypatch, blas_threads):
 
 
 def test_multithreaded_blas_keeps_every_op_serial(bundle, monkeypatch):
-    monkeypatch.setattr(autodiff, "_worker", None)
     flags = record_schedules(monkeypatch)
+    elsewhere = record_first_threads(monkeypatch)
     _, decisions = train_wide(bundle, monkeypatch, blas_threads=2)
     assert not any(decision for _, _, decision in decisions)
     assert flags and not any(flags)
-    assert autodiff._worker is None
+    assert elsewhere and not any(elsewhere)
 
 
 def test_trained_parameters_match_on_every_schedule(bundle, monkeypatch):
     serial, _ = train_wide(bundle, monkeypatch, blas_threads=2)
+    elsewhere = record_first_threads(monkeypatch)
     threaded, decisions = train_wide(bundle, monkeypatch, blas_threads=1)
     assert {floor for floor, _, decision in decisions if decision} == set(FLOORS)
-    assert worker_running()
+    assert any(elsewhere)
     for name, p in serial.items():
         assert np.array_equal(p.data, threaded[name].data), name
+
+
+def test_nested_hand_off_returns():
+    # A hand-off made inside another's first half gets a thread of its own;
+    # run in a child process so that a hang fails the test by its timeout.
+    code = ("from emosent.nd import autodiff as a; "
+            "print(a._both(lambda: a._both(lambda: 1, lambda: 2, True), lambda: 3, True))")
+    assert run_in_python(code) == "((1, 2), 3)"
+
+
+@pytest.mark.parametrize("failing", ["first", "second"])
+def test_error_in_a_half_is_raised_after_the_other_finishes(failing):
+    finished = []
+
+    def slow():
+        time.sleep(0.05)
+        finished.append(True)
+
+    def fail():
+        raise ValueError(failing)
+
+    halves = (fail, slow) if failing == "first" else (slow, fail)
+    with pytest.raises(ValueError, match=failing):
+        BOTH(*halves, True)
+    assert finished == [True]
+
+
+def test_first_error_wins_with_the_second_as_its_context():
+    def first():
+        raise ValueError("first")
+
+    def second():
+        raise KeyError("second")
+
+    with pytest.raises(ValueError, match="first") as caught:
+        BOTH(first, second, True)
+    assert isinstance(caught.value.__context__, KeyError)
