@@ -4,7 +4,8 @@ Every file a command produces (checkpoint, metrics, table, train log,
 vocabulary, preprocessed text) is written to a temp file next to its target
 and then renamed over it, so an interrupted or failed write leaves the
 earlier file as it was and never a half-written one. Every text file a
-command reads goes through `read_text`.
+command reads goes through `read_text`, except the embeddings file, which is
+read as bytes and checked in blocks; both name a bad byte by `not_utf8`.
 """
 from __future__ import annotations
 
@@ -32,4 +33,10 @@ def read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise not_utf8(path, exc) from None
+
+
+def not_utf8(path, exc: UnicodeDecodeError, at: int = 0) -> ValueError:
+    """The error naming `path` and the file offset of the byte `exc` rejected,
+    for bytes decoded from offset `at` of the file."""
+    return ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {at + exc.start})")

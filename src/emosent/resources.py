@@ -3,9 +3,11 @@
 File formats (all UTF-8):
   embeddings  word2vec text, `word v1 .. v_dim` per line, single spaces,
               optional `count dim` header line; the first line of a word
-              wins. Every line's value count is checked at load; values
-              are parsed only for the rows a run uses, equal to `float()`'s,
-              so a non-numeric or non-finite value on a line no run uses
+              wins. The file is held once, as bytes, and scanned in blocks
+              of about SCAN_BYTES; its lines are `str.splitlines`'s. Every
+              line's value count is checked at load; values are parsed
+              only for the rows a run uses, equal to `float()`'s, so a
+              non-numeric or non-finite value on a line no run uses
               passes. An error names the first bad line;
   thesaurus   `word<TAB>cand1,cand2,...` with candidates ranked most-similar
               first; a run without one expands as with an empty one;
@@ -26,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import read_text
+from .artifacts import not_utf8, read_text
 from .rng import stage_rng, truncated_normal
 
 PAD = "<pad>"
@@ -47,6 +49,10 @@ EMOTIONS = (
 )
 # Embedding lines per np.loadtxt call.
 CHUNK_ROWS = 4096
+# Bytes per block of the embeddings scan, which runs on to the next newline.
+# A block's masks and counts take 4 bytes per byte of it, 1 MiB here: they
+# stay in a core's L2 cache, and the scan's memory does not grow with the file.
+SCAN_BYTES = 1 << 18
 
 
 class ResourceFormatError(ValueError):
@@ -59,13 +65,14 @@ class CorpusIntegrityError(ValueError):
 
 @dataclass
 class EmbeddingMatrix:
-    """Word vectors indexed at load, parsed on demand: `spans` holds each file
-    row's (line number, start, end) in `text`; `built` the rows made at load."""
+    """Word vectors indexed at load, parsed on demand: `data` holds the file's
+    bytes, `spans` each file row's (line number, start, end) byte offsets in
+    it, rstripped; `built` the rows made at load."""
 
     path: Path
     dim: int
     index: dict[str, int]
-    text: str
+    data: bytes
     spans: list[tuple[int, int, int]]
     built: dict[int, np.ndarray]
 
@@ -74,21 +81,21 @@ class EmbeddingMatrix:
 
     def rows(self, words: Sequence[str]) -> np.ndarray:
         """Vectors [len(words), dim] of `words`; a word without a row gets <oov>'s.
-        Only their lines are parsed, in file order and CHUNK_ROWS blocks, so an
-        error names the first non-numeric line among them, else the first
-        non-finite one."""
+        Only their lines are decoded and parsed, in file order and CHUNK_ROWS
+        blocks, so an error names the first non-numeric line among them, else
+        the first non-finite one."""
         oov = self.index[OOV]
         ids = [self.index.get(w, oov) for w in words]
         parsed = sorted(set(ids).difference(self.built))
         values = np.empty((len(parsed), self.dim))
         for lo in range(0, len(parsed), CHUNK_ROWS):
             spans = [self.spans[i] for i in parsed[lo : lo + CHUNK_ROWS]]
-            block = [(lineno, self.text[at:end]) for lineno, at, end in spans]
+            block = [(lineno, self.data[at:end].decode()) for lineno, at, end in spans]
             values[lo : lo + len(block)] = _parse_block(self.path, block, self.dim)
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:
             lineno, at, end = self.spans[parsed[bad[0]]]
-            word = self.text[at:end].split(" ", 1)[0]
+            word = self.data[at:end].split(b" ", 1)[0].decode()
             raise ResourceFormatError(f"{self.path}: line {lineno}: non-finite value for {word!r}")
         table = {**self.built, **dict(zip(parsed, values))}
         return np.array([table[i] for i in ids], dtype=np.float64).reshape(len(ids), self.dim)
@@ -103,37 +110,39 @@ def load_embeddings(path, expected_dim: int, seed: int = 0) -> EmbeddingMatrix:
     `EmbeddingMatrix.rows` parses the rows a run asks for, so a bad value
     on a line no run uses (an unused or repeated word) is never read.
 
+    The file is read once as bytes and checked to be UTF-8 before any line
+    is. `_scan` then settles most lines from byte counts, a block at a time;
+    the rest go through `_index_lines`, the rule on decoded text that
+    defines line numbers, words, spans and errors.
+
     <pad> is all zeros and <oov> is a seeded truncated-normal draw, both
     regardless of file contents; placeholder rows (<user>, <number>, <url>)
     are taken from the file when present, otherwise drawn the same way.
     """
     path = Path(path)
-    text = read_text(path)
-    # One string holds the kept rows: a string per row would outlive the load
-    # on the heap, and freed ones are not given back to the OS.
-    lines = text.splitlines(keepends=True)
-    start = 0
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
-            start = 1
+    data = path.read_bytes()
+    ascii_only = data.isascii()
+    if not ascii_only:
+        view = memoryview(data)
+        for lo, hi in _blocks(data):
+            try:
+                str(view[lo:hi], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise not_utf8(path, exc, lo) from None
     index: dict[str, int] = {}
     spans: list[tuple[int, int, int]] = []
-    pos = len(lines[0]) if start else 0
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        at, pos = pos, pos + len(line)
-        if not line.strip():
-            continue
-        line = line.rstrip()
-        word = line.split(" ", 1)[0]
-        if line.count(" ") != expected_dim:
-            raise ResourceFormatError(
-                f"{path}: line {lineno}: expected {expected_dim} values for {word!r}, "
-                f"got {line.count(' ')}"
-            )
-        if word not in index:
-            index[word] = len(spans)
-            spans.append((lineno, at, at + len(line)))
+    lineno = 0
+    for lo, hi in _blocks(data):
+        for at, end, count, settled in zip(*_scan(data, lo, hi, ascii_only)):
+            if not settled or count != expected_dim:
+                lineno = _index_lines(path, expected_dim, data, at, end, lineno, index, spans)
+                continue
+            lineno += 1
+            cut = data.find(b" ", at, end)
+            word = data[at : cut if cut >= 0 else end].decode()
+            if word not in index:
+                index[word] = len(spans)
+                spans.append((lineno, at, end))
     if not spans:
         raise ResourceFormatError(f"{path}: no embedding vectors found")
     drawn = [s for s in SPECIALS[2:] if s not in index]
@@ -144,7 +153,95 @@ def load_embeddings(path, expected_dim: int, seed: int = 0) -> EmbeddingMatrix:
         built[index[special]] = truncated_normal(
             stage_rng(seed, f"embeddings/{special}"), expected_dim
         )
-    return EmbeddingMatrix(path, expected_dim, index, text, spans, built)
+    return EmbeddingMatrix(path, expected_dim, index, data, spans, built)
+
+
+def _blocks(data: bytes):
+    """(start, end) of consecutive blocks of `data`, each of at least
+    SCAN_BYTES bytes and ending after a newline, except the last."""
+    lo = 0
+    while lo < len(data):
+        hi = data.find(b"\n", lo + SCAN_BYTES - 1) + 1 or len(data)
+        yield lo, hi
+        lo = hi
+
+
+def _scan(data: bytes, lo: int, hi: int, ascii_only: bool):
+    """Lists of the start, end, count of 0x20 bytes and settledness of each
+    newline-ended line of data[lo:hi]; the end is the offset of its newline,
+    or `hi` for an unterminated last line.
+
+    A line is settled when its bytes give what `_index_lines` would: it is
+    not the file's first (the header rule), it ends in a byte from 0x21 to
+    0x7f (so nothing is stripped: not empty, no CR, no trailing space or
+    non-ASCII whitespace) and it holds no other `str.splitlines` break:
+    no byte below 0x20 but its newline, no U+0085, U+2028 or U+2029. Then
+    its word runs to its first 0x20 byte. Each check is a pass over the
+    block's bytes: control bytes are found with the newlines, and U+0085,
+    U+2028 and U+2029 are looked for only in a file that is not all ASCII.
+    """
+    arr = np.frombuffer(data, np.uint8, hi - lo, lo)
+    low = np.flatnonzero(arr < 0x20)
+    newline = arr[low] == 10
+    ends = low[newline]
+    if not ends.size or ends[-1] != arr.size - 1:
+        ends = np.append(ends, arr.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # int16 counts are exact on lines shorter than 2**15 bytes; longer ones go
+    # through `_index_lines`.
+    counts = np.add.reduceat((arr == 0x20).view(np.int8), starts, dtype=np.int16)
+    last = arr[ends - 1]
+    settled = (ends > starts) & (ends - starts < 1 << 15) & (last > 0x20) & (last < 0x80)
+    if lo == 0:
+        settled[0] = False
+    breaks = [low[~newline]]
+    if not ascii_only:
+        # The last byte of each break's UTF-8 form; its lead byte is in the
+        # block too, since a block starts a line.
+        high = np.flatnonzero(arr >= 0x80)
+        c = high[np.isin(arr[high], (0x85, 0xA8, 0xA9))]
+        u0085 = (arr[c] == 0x85) & (arr[c - 1] == 0xC2)
+        u2028 = (arr[c] != 0x85) & (arr[c - 1] == 0x80) & (arr[c - 2] == 0xE2)
+        breaks.append(c[u0085 | u2028])
+    for at in breaks:
+        settled[np.searchsorted(ends, at)] = False
+    return (starts + lo).tolist(), (ends + lo).tolist(), counts.tolist(), settled.tolist()
+
+
+def _index_lines(path, dim, data, at, end, lineno, index, spans) -> int:
+    """Index the text lines in the newline-ended line at data[at:end] (its
+    newline at `end`, or none at the file's end) that follow line `lineno`,
+    and return the number of the last.
+
+    The rule on each line: a first line of two integers is a header; a
+    blank line is skipped; otherwise the line, rstripped, must hold `dim`
+    spaces, its word runs to the first, and a word's first line is kept.
+    """
+    for text in data[at : end + 1].decode().splitlines(keepends=True):
+        lineno += 1
+        line = text.rstrip()
+        if line and not (lineno == 1 and _is_header(line)):
+            word = line.split(" ", 1)[0]
+            if line.count(" ") != dim:
+                raise ResourceFormatError(
+                    f"{path}: line {lineno}: expected {dim} values for {word!r}, "
+                    f"got {line.count(' ')}"
+                )
+            if word not in index:
+                index[word] = len(spans)
+                spans.append((lineno, at, at + _utf8_len(line)))
+        at += _utf8_len(text)
+    return lineno
+
+
+def _is_header(line: str) -> bool:
+    """A `count dim` line: two integers."""
+    head = line.split()
+    return len(head) == 2 and all(p.lstrip("-").isdigit() for p in head)
+
+
+def _utf8_len(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode())
 
 
 def _parse_block(path, block: list[tuple[int, str]], dim: int) -> np.ndarray:

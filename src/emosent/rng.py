@@ -19,10 +19,15 @@ def stage_rng(seed: int, stage: str) -> np.random.Generator:
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.1) -> np.ndarray:
-    """Normal(0, std) samples redrawn until within two standard deviations."""
+    """Normal(0, std) samples redrawn until within two standard deviations.
+
+    Each round redraws the positions still out of range, in C order, and
+    checks only the new draws."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2.0 * std]
     return out

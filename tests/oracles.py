@@ -143,6 +143,17 @@ def adam_step_per_tensor(params, grads, m, v, t, lr=0.001, beta1=0.9, beta2=0.99
     return new_params, new_m, new_v
 
 
+def truncated_normal_rescan(rng, shape, std=0.1):
+    """Normal(0, std) samples; every round rescans the whole array and
+    redraws, in C order, each entry beyond two standard deviations."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out
+
+
 def load_embeddings_per_line(path, expected_dim, specials, draw):
     """word2vec text vectors parsed one line at a time with `float()`.
 

@@ -18,7 +18,7 @@ from emosent.metrics import parse_metrics
 from emosent.model import MODES, forward, init_parameters
 from emosent.preprocess import normalize
 from emosent.resources import (
-    CHUNK_ROWS, EMOTIONS, SENTIMENTS, Example, encode_example, load_corpus,
+    CHUNK_ROWS, EMOTIONS, SCAN_BYTES, SENTIMENTS, Example, encode_example, load_corpus,
 )
 
 from conftest import (
@@ -550,6 +550,19 @@ class TestPreprocessAndVocabCommands:
         config = write_config(tmp_path / "run.cfg", tmp_path / "out", embeddings=embeddings)
         assert entrypoint(["build-vocab", "--config", str(config)]) == 2
         assert f"line {bad_line}: expected 16 values for 'broken', got 3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "vocab.txt").exists()
+
+    def test_build_vocab_names_invalid_utf8_after_the_first_block(self, tmp_path, capsys):
+        text = (FIXTURES / "embeddings.txt").read_bytes()
+        filler = b"".join(b"filler%d " % i + b" ".join([b"0.5"] * 16) + b"\n" for i in range(5000))
+        assert len(text + filler) > SCAN_BYTES
+        embeddings = tmp_path / "vectors.txt"
+        embeddings.write_bytes(text + filler + b"bad\xe9 " + b" ".join([b"0.5"] * 16) + b"\n")
+        offset = len(text + filler) + len(b"bad")
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", embeddings=embeddings)
+        assert entrypoint(["build-vocab", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"embeddings: {embeddings}: not UTF-8 text (invalid continuation byte at byte {offset})" in err
         assert not (tmp_path / "out" / "vocab.txt").exists()
 
     def test_build_vocab_parses_no_values(self, tmp_path):

@@ -32,6 +32,7 @@ from oracles import (
     lstm_direction_loops,
     primary_attention_loops,
     secondary_attention_loops,
+    truncated_normal_rescan,
 )
 
 
@@ -127,6 +128,14 @@ class TestInitParameters:
             np.testing.assert_array_equal(a[name].data, b[name].data)
             assert np.all(np.abs(a[name].data) <= 0.2)
         assert not np.array_equal(a["sentiment/W_s"].data, c["sentiment/W_s"].data)
+
+    @pytest.mark.parametrize("shape", [(), 1, (7,), (3, 4), (300, 1200)], ids=str)
+    @pytest.mark.parametrize("std", [0.1, 0.02, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_truncated_normal_matches_rescan_oracle(self, shape, std, seed):
+        got = truncated_normal(stage_rng(seed, "draw"), shape, std)
+        want = truncated_normal_rescan(stage_rng(seed, "draw"), shape, std)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_gate_blocks_keep_the_per_gate_streams(self):
         params = init_parameters(tiny_config(), vocab_size=9, seed=6)

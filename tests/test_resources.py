@@ -1,14 +1,16 @@
 """Loader contracts: embeddings, thesaurus, corpus, vocabulary."""
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emosent import resources
+from emosent.artifacts import read_text
 from emosent.resources import (
     Corpus,
     CorpusIntegrityError,
@@ -40,7 +42,9 @@ ODD_VALUES = (
     "1e400", "-1e400", "1e-320", "nan", "-NaN", "inf", "Infinity", "-0", "1_0", "\uff11",
     "\u0661", "+1", ".5", "1.", "x", "", "\t1", "1\xa0", "0x10", "1e",
 )
-WORDS = ("a", "b", "c", "\u00e9", "1", "a\tb", "", *SPECIALS)
+WORDS = ("a", "b", "c", "\u00e9", "\u20ac", "\u4e2d\u6587", "\U0001f600", "1", "a\tb", "", *SPECIALS)
+# The line breaks of `str.splitlines` besides "\n" and "\r\n".
+BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 @st.composite
@@ -57,8 +61,9 @@ def decimals(draw):
 @st.composite
 def embedding_files(draw):
     """(dim, text) of a word2vec file: headers, blank and whitespace lines,
-    duplicates, specials, trailing whitespace, odd values, wrong counts and
-    three line endings."""
+    duplicates, specials, 1- to 4-byte UTF-8 words, trailing whitespace, odd
+    values, wrong counts, every `str.splitlines` break inside a line, and
+    one line ending or a mix of them."""
     dim = draw(st.integers(1, 4))
     lines = []
     if draw(st.booleans()):
@@ -73,10 +78,30 @@ def embedding_files(draw):
             draw(st.sampled_from(ODD_VALUES)) if odd and draw(st.booleans()) else draw(decimals())
             for _ in range(count)
         ]
-        trailing = draw(st.sampled_from(["", "", "", "\t", " ", "  ", "\xa0"]))
-        lines.append(" ".join([draw(st.sampled_from(WORDS)), *values]) + trailing)
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return dim, eol.join(lines) + draw(st.sampled_from(["", eol]))
+        trailing = draw(st.sampled_from(["", "", "", "", "", "\t", " ", "  ", "\xa0", "\u3000"]))
+        line = " ".join([draw(st.sampled_from(WORDS)), *values]) + trailing
+        if draw(st.integers(0, 2)) == 0:
+            # At 0 the break ends a blank line, and the rest stays valid.
+            at = draw(st.just(0) | st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(BREAKS)) + line[at:]
+        lines.append(line)
+    if draw(st.booleans()):
+        eols = st.just(draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])))
+    else:
+        eols = st.sampled_from(["\n", "\n", "\n", "\r\n", *BREAKS])
+    ends = [draw(eols) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return dim, "".join(line + end for line, end in zip(lines, ends))
+
+
+def break_examples(test):
+    """`test` run also on each break, once after a blank line and once
+    inside a line's values, in files of newline-ended lines."""
+    for brk in BREAKS:
+        for text in (f"a 1 2\n{brk}b 3 4\n", f"a 1 2\nb 3{brk} 4\n"):
+            test = example(case=(2, text), chunk=2, scan=7)(test)
+    return test
 
 
 class TestLoadEmbeddings:
@@ -166,15 +191,24 @@ class TestLoadEmbeddings:
         with pytest.raises(ResourceFormatError, match=r"line 2: non-finite value for ''"):
             load_embeddings(f, 2).rows([""])
 
-    @given(case=embedding_files(), chunk=st.sampled_from([2, 3]))
+    @given(
+        case=embedding_files(),
+        chunk=st.sampled_from([2, 3]),
+        scan=st.sampled_from([1, 7, 64, resources.SCAN_BYTES]),
+    )
+    @break_examples
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_line_oracle(self, case, chunk):
+    def test_matches_per_line_oracle(self, case, chunk, scan):
         dim, text = case
 
         def draw(special):
             return truncated_normal(stage_rng(3, f"embeddings/{special}"), dim)
 
-        with tempfile.TemporaryDirectory() as d, mock.patch.object(resources, "CHUNK_ROWS", chunk):
+        with (
+            tempfile.TemporaryDirectory() as d,
+            mock.patch.object(resources, "CHUNK_ROWS", chunk),
+            mock.patch.object(resources, "SCAN_BYTES", scan),
+        ):
             f = Path(d) / "e.txt"
             f.write_text(text, encoding="utf-8", newline="")
             try:
@@ -205,6 +239,39 @@ class TestLoadEmbeddings:
         emb = load_embeddings(write(tmp_path / "e.txt", f"a 1 2\nb 3 4\n{bad}\n"), 2)
         words = ["a", "b", "missing", *SPECIALS]
         assert emb.rows(words).tobytes() == clean.rows(words).tobytes()
+
+    @pytest.mark.parametrize("word", ["w", "\U0001f600"], ids=["ascii", "utf8"])
+    def test_load_holds_one_copy_of_the_file(self, tmp_path, word):
+        # Paper-shaped lines, 300 values each, over about 16 scan blocks;
+        # non-ASCII words make the load check each block's UTF-8.
+        values = " 0.12345" * 300
+        f = write(tmp_path / "e.txt", "".join(f"{word}{i}{values}\n" for i in range(1700)))
+        size = f.stat().st_size
+        assert size > 4 * resources.SCAN_BYTES
+        tracemalloc.start()
+        try:
+            emb = load_embeddings(f, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(emb.spans) == 1700
+        assert peak < 1.5 * size, f"peak {peak / size:.2f}x the file"
+
+    @pytest.mark.parametrize("scan", [64, resources.SCAN_BYTES])
+    def test_invalid_utf8_after_the_first_block_names_its_offset(self, tmp_path, monkeypatch, scan):
+        monkeypatch.setattr(resources, "SCAN_BYTES", scan)
+        # A wrong count ahead of the bad byte: the file is checked whole first.
+        head = b"short 1\n" + b"".join(b"w%d 1 2\n" % i for i in range(scan // 4))
+        f = tmp_path / "e.txt"
+        f.write_bytes(head + b"bad 1 \xff\nlast 1 2\n")
+        offset = len(head) + len(b"bad 1 ")
+        message = f"{f}: not UTF-8 text (invalid start byte at byte {offset})"
+        with pytest.raises(ValueError) as raised:
+            read_text(f)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            load_embeddings(f, 2)
+        assert str(raised.value) == message
 
     def test_specials_lines_values_are_never_read(self, tmp_path):
         f = write(tmp_path / "e.txt", f"a 1 2\n{PAD} x 1\n{OOV} nan 1\n")
