@@ -16,7 +16,8 @@ Format version 2 stores each LSTM direction as three gate-stacked tensors
 (version 1 files, with one tensor per gate, are rejected). Loading checks
 every header field's type, the config keys against `ModelConfig`, and the
 tensor names and shapes against `parameter_shapes` for that config and
-vocabulary size; each failure is a `CheckpointError` naming its field.
+vocabulary size, and the `meta` fields in META_CHECKS; each failure is a
+`CheckpointError` naming its field.
 
 Loading maps the payload copy-on-write and makes each tensor a view of the
 mapping: tensors are writable, writes never reach the file, and a page is
@@ -47,6 +48,12 @@ FORMAT_VERSION = 2
 PAYLOAD_ALIGN = 64
 HEADER_START = len(MAGIC) + 8
 CONFIG_KEYS = {f.name for f in fields(ModelConfig)}
+# The meta fields commands read, checked when present; readers supply defaults.
+META_CHECKS = {
+    "threshold": ("a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1),
+    "seed": ("a non-negative int", lambda v: type(v) is int and v >= 0),
+    "epochs": ("a non-negative int", lambda v: type(v) is int and v >= 0),
+}
 
 
 class CheckpointError(ValueError):
@@ -135,6 +142,9 @@ def _read_checkpoint(path, fh) -> Checkpoint:
     thesaurus = _resource(path, header, "thesaurus", Thesaurus)
     lexicon = _resource(path, header, "lexicon", SegmentationLexicon)
     meta = _field(path, header, "meta", dict)
+    for key, (kind, fits) in META_CHECKS.items():
+        if key in meta and not fits(meta[key]):
+            raise CheckpointError(f"{path}: meta.{key}: expected {kind}, got {meta[key]!r}")
     # Header order, with the expected shapes: a stored shape may be [2.0, 3].
     layout = [(name, expected[name]) for name in shapes]
     ends = list(accumulate(prod(shape) for _, shape in layout))

@@ -55,7 +55,7 @@ def probe_config(mode, **overrides):
 
 def test_01_full_model_gradients(announce):
     start = time.monotonic()
-    worst = {mode: _gradcheck_mode(mode, 0).max_rel_err for mode in MODES}
+    worst = {mode: _gradcheck_mode(mode).max_rel_err for mode in MODES}
     elapsed = time.monotonic() - start
     passed = max(worst.values()) < 1e-3 and elapsed < 120.0
     announce(

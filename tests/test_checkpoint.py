@@ -285,6 +285,18 @@ class TestHeaderValidation:
             ),
             (lambda h: h["vocab"].append(h["vocab"][-1]), r"vocab: 1 repeated words"),
             (lambda h: h.update(meta=[1]), r"meta: expected an object, got list"),
+            (
+                lambda h: h["meta"].update(threshold=True),
+                r"meta\.threshold: expected a number in \(0, 1\), got True",
+            ),
+            (
+                lambda h: h["meta"].update(seed=2.0),
+                r"meta\.seed: expected a non-negative int, got 2\.0",
+            ),
+            (
+                lambda h: h["meta"].update(epochs=-1),
+                r"meta\.epochs: expected a non-negative int, got -1",
+            ),
         ],
         ids=[
             "header-list",
@@ -299,6 +311,9 @@ class TestHeaderValidation:
             "vocab-without-oov",
             "vocab-repeated-word",
             "meta-list",
+            "meta-threshold-bool",
+            "meta-seed-float",
+            "meta-epochs-negative",
         ],
     )
     def test_wrong_typed_field_is_named(self, saved, edit, message):

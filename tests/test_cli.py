@@ -1,7 +1,9 @@
 """End-to-end command behavior through the in-process entry point."""
+import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -13,7 +15,7 @@ import pytest
 
 from emosent import cli, nd
 from emosent.checkpoint import HEADER_START, MAGIC, load_checkpoint, save_checkpoint
-from emosent.cli import entrypoint
+from emosent.cli import build_parser, entrypoint
 from emosent.metrics import parse_metrics
 from emosent.model import MODES, forward, init_parameters
 from emosent.preprocess import normalize
@@ -345,8 +347,19 @@ class TestPredictCommand:
                 lambda h: h["meta"].update(threshold=float("nan")),
                 "meta.threshold: expected a number in (0, 1), got nan",
             ),
+            (
+                None,
+                lambda h: h["meta"].update(seed=-1),
+                "meta.seed: expected a non-negative int, got -1",
+            ),
+            (
+                None,
+                lambda h: h["meta"].update(epochs="3"),
+                "meta.epochs: expected a non-negative int, got '3'",
+            ),
         ],
-        ids=["header-length", "vocab", "meta-threshold-null", "meta-threshold-nan"],
+        ids=["header-length", "vocab", "meta-threshold-null", "meta-threshold-nan",
+             "meta-seed-negative", "meta-epochs-text"],
     )
     def test_malformed_header_exits_2_without_traceback(
         self, trained, tmp_path, length, edit, message
@@ -359,10 +372,12 @@ class TestPredictCommand:
         blob = json.dumps(header).encode("utf-8")
         broken = tmp_path / "broken.bin"
         broken.write_bytes(MAGIC + (length or len(blob)).to_bytes(8, "big") + blob + raw[end:])
-        proc = run_cli("predict", str(broken), "joyword")
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"error: checkpoint: {broken}: ") and message in proc.stderr
+        for name in ("predict", "evaluate"):
+            proc = run_cli(*TestCorruptCheckpoint.command(name, broken, tmp_path))
+            assert proc.returncode == 2, name
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith(f"error: checkpoint: {broken}: ")
+            assert message in proc.stderr
 
     def test_prints_the_emotions_at_or_above_meta_threshold(self, trained, tmp_path, capsys):
         ckpt = load_checkpoint(trained.out / "checkpoint.bin")
@@ -428,6 +443,15 @@ class TestEvaluateCommand:
         )
         assert report.mode == "M2"
 
+    def test_report_names_the_checkpoints_seed_and_epochs(self, tmp_path, capsys):
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", epochs=3)
+        assert entrypoint(["train", "--config", str(config), "--seed", "5"]) == 0
+        assert entrypoint(["evaluate", "--config", str(config)]) == 0
+        assert "Mode M2 (seed 5, epoch 3)" in capsys.readouterr().out
+        text = (tmp_path / "out" / "eval_metrics.txt").read_text(encoding="utf-8")
+        report = parse_metrics(text)
+        assert (report.seed, report.epoch) == (5, 3)
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.cfg", tmp_path / "out")
         assert entrypoint(["evaluate", "--config", str(config)]) == 2
@@ -485,7 +509,7 @@ class TestGradcheckCommand:
             cli, "grad_check", lambda loss_fn, params: assert_gradients_clear_of_zero(
                 loss_fn, params, 1e-7)
         )
-        cli._gradcheck_mode(mode, 0)
+        cli._gradcheck_mode(mode)
 
     def test_requested_modes_pass(self, capsys):
         assert entrypoint(["gradcheck", "--modes", "S1,M2"]) == 0
@@ -682,3 +706,43 @@ class TestUsage:
     def test_help_exits_cleanly(self, capsys):
         assert entrypoint(["--help"]) == 0
         assert "preprocess" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["preprocess", "--seed", "1", "raw.txt"],
+            ["build-vocab", "--seed", "1"],
+            ["evaluate", "--seed", "1"],
+            ["report", "--seed", "1"],
+            ["gradcheck", "--seed", "1"],
+            ["gradcheck", "--config", "run.cfg"],
+            ["gradcheck", "--out", "out"],
+        ],
+        ids=lambda args: f"{args[0]}{args[1]}",
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, args):
+        assert entrypoint(args) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## Quick start\n") :]
+        section = section[: section.index("\n## ", 1)]
+        rows = re.findall(r"^\| `emosent ([\w-]+)` \|([^|]*)\|([^|]*)\|$", section, re.M)
+        documented = {
+            command: (re.findall(r"`([^`]+)`", options), re.findall(r"`([^`]+)`", arguments))
+            for command, options, arguments in rows
+        }
+        [commands] = [
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        registered = {
+            name: (
+                [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")],
+                [a.dest for a in p._actions if not a.option_strings],
+            )
+            for name, p in commands.items()
+        }
+        assert len(rows) == len(documented)
+        assert documented == registered
