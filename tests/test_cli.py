@@ -1,5 +1,4 @@
 """End-to-end command behavior through the in-process entry point."""
-import argparse
 import dataclasses
 import json
 import os
@@ -724,7 +723,7 @@ class TestUsage:
         assert entrypoint(args) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_readme_flag_table_matches_the_parser(self):
+    def test_readme_flag_table_matches_the_parser(self, capsys):
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
         section = readme[readme.index("## Quick start\n") :]
         section = section[: section.index("\n## ", 1)]
@@ -733,16 +732,20 @@ class TestUsage:
             command: (re.findall(r"`([^`]+)`", options), re.findall(r"`([^`]+)`", arguments))
             for command, options, arguments in rows
         }
-        [commands] = [
-            action.choices for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        registered = {
-            name: (
-                [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")],
-                [a.dest for a in p._actions if not a.option_strings],
-            )
-            for name, p in commands.items()
-        }
+
+        def usage(*argv):
+            """The usage line `--help` prints, on one line."""
+            assert entrypoint([*argv, "--help"]) == 0
+            return " ".join(capsys.readouterr().out.split("\n\n", 1)[0].split())
+
+        commands = re.search(r"\{([^}]*)\}", usage()).group(1).split(",")
+        registered = {}
+        for name in commands:
+            line = usage(name)
+            # Options show as `[--flag VALUE]`; what is left after the
+            # command name are its positionals.
+            options = re.findall(r"\[(--[\w-]+)", line)
+            positionals = re.sub(r"\[[^\]]*\]", "", line).split()[3:]
+            registered[name] = (options, positionals)
         assert len(rows) == len(documented)
         assert documented == registered
