@@ -1,16 +1,23 @@
-"""All-or-nothing artifact writes, and text reads that name their file.
+"""All-or-nothing artifact writes, and reads that name their file.
 
 Every file a command produces (checkpoint, metrics, table, train log,
 vocabulary, preprocessed text) is written to a temp file next to its target
 and then renamed over it, so an interrupted or failed write leaves the
-earlier file as it was and never a half-written one. Every text file a
-command reads goes through `read_text`, except the embeddings file, which is
-read as bytes and checked in blocks; both name a bad byte by `not_utf8`.
+earlier file as it was and never a half-written one. Every file a command
+reads is opened by `open_regular`, so a directory, FIFO or device is a named
+error and never a hang. Every text file goes through `read_text`, except the
+embeddings file, which is mapped read-only and checked in blocks; both name
+a bad byte by `not_utf8`.
 """
 from __future__ import annotations
 
 import os
+import stat
 from pathlib import Path
+
+
+class NotRegularFileError(ValueError):
+    """A path to read names a directory, FIFO, device or socket."""
 
 
 def write_atomic(path, data: str | bytes) -> None:
@@ -28,10 +35,29 @@ def write_atomic(path, data: str | bytes) -> None:
         raise
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of `path`; other bytes are a ValueError naming it."""
+def open_regular(path, mode: str = "rb", **kwargs):
+    """`path` opened for reading as `open(path, mode, **kwargs)` would.
+
+    A path that is not a regular file is a NotRegularFileError naming it.
+    The file is opened without blocking, so a FIFO with no writer fails at
+    once instead of waiting for one."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        return Path(path).read_text(encoding="utf-8")
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise NotRegularFileError(f"{path}: not a regular file")
+        os.set_blocking(fd, True)
+        return open(fd, mode, **kwargs)
+    except BaseException:
+        os.close(fd)
+        raise
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of `path`, newlines as `Path.read_text` reads them;
+    other bytes are a ValueError naming it."""
+    try:
+        with open_regular(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
 

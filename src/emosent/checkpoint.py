@@ -37,7 +37,7 @@ from math import prod
 
 import numpy as np
 
-from .artifacts import write_atomic
+from .artifacts import open_regular, write_atomic
 from .model import ModelConfig, is_trainable, parameter_shapes
 from .nd import Tensor
 from .preprocess import SegmentationLexicon
@@ -96,8 +96,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and check a checkpoint; its tensors view the mapped payload."""
-    with open(path, "rb") as fh:
+    """Read and check a checkpoint; its tensors view the mapped payload. A
+    path that is not a regular file is a NotRegularFileError."""
+    with open_regular(path) as fh:
         return _read_checkpoint(path, fh)
 
 

@@ -104,7 +104,7 @@ def _vocabulary(cfg: RunConfig, embedding_rows: bool):
     """Load the embeddings, thesaurus and training corpus and build their
     vocabulary; returns (vocab, thesaurus, corpus, rows), where rows are the
     vocabulary's embedding rows when `embedding_rows`, else None. The
-    embeddings file text is freed on return, once its rows are built."""
+    embeddings index is freed on return, once its rows are built."""
     require_files(cfg, "embeddings", "corpus.train")
     embeddings = _staged(
         "embeddings", load_embeddings, cfg.embeddings, cfg.model.embed_dim, seed=cfg.train.seed

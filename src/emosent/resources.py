@@ -3,12 +3,14 @@
 File formats (all UTF-8):
   embeddings  word2vec text, `word v1 .. v_dim` per line, single spaces,
               optional `count dim` header line; the first line of a word
-              wins. The file is held once, as bytes, and scanned in blocks
-              of about SCAN_BYTES; its lines are `str.splitlines`'s. Every
-              line's value count is checked at load; values are parsed
-              only for the rows a run uses, equal to `float()`'s, so a
-              non-numeric or non-finite value on a line no run uses
-              passes. An error names the first bad line;
+              wins. The file is mapped for the load, scanned in blocks of
+              about SCAN_BYTES and unmapped; the matrix keeps each kept
+              line's span and reads the lines it parses back from the
+              file. Its lines are `str.splitlines`'s. Every line's value
+              count is checked at load; values are parsed only for the
+              rows a run uses, equal to `float()`'s, so a non-numeric or
+              non-finite value on a line no run uses passes. An error
+              names the first bad line;
   thesaurus   `word<TAB>cand1,cand2,...` with candidates ranked most-similar
               first; a run without one expands as with an empty one;
   corpus      `id<TAB>text<TAB>sentiment<TAB>b1 b2 .. b8` with the text column
@@ -21,6 +23,8 @@ single-task sentiment training and sentiment metrics.
 """
 from __future__ import annotations
 
+import mmap
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -28,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import not_utf8, read_text
+from .artifacts import not_utf8, open_regular, read_text
 from .rng import stage_rng, truncated_normal
 
 PAD = "<pad>"
@@ -50,9 +54,13 @@ EMOTIONS = (
 # Embedding lines per np.loadtxt call.
 CHUNK_ROWS = 4096
 # Bytes per block of the embeddings scan, which runs on to the next newline.
-# A block's masks and counts take 4 bytes per byte of it, 1 MiB here: they
-# stay in a core's L2 cache, and the scan's memory does not grow with the file.
+# A block's masks take a byte per byte of it, 256 KiB here: they stay in a
+# core's L2 cache, and the scan's memory does not grow with the file.
 SCAN_BYTES = 1 << 18
+# Lines `EmbeddingMatrix.rows` reads that are fewer bytes apart share one read.
+# A read from the page cache costs about as much as copying 16 KiB, so a
+# shorter gap is cheaper to read through than to skip.
+READ_GAP = 1 << 14
 
 
 class ResourceFormatError(ValueError):
@@ -65,15 +73,16 @@ class CorpusIntegrityError(ValueError):
 
 @dataclass
 class EmbeddingMatrix:
-    """Word vectors indexed at load, parsed on demand: `data` holds the file's
-    bytes, `spans` each file row's (line number, start, end) byte offsets in
-    it, rstripped; `built` the rows made at load."""
+    """Word vectors indexed at load, parsed on demand: `spans` [n, 3] holds
+    each file row's line number and its start and end byte offsets in the
+    file, rstripped; `identity` the file's (st_dev, st_ino, st_size,
+    st_mtime_ns) when it was indexed; `built` the rows made at load."""
 
     path: Path
     dim: int
     index: dict[str, int]
-    data: bytes
-    spans: list[tuple[int, int, int]]
+    spans: np.ndarray
+    identity: tuple[int, int, int, int]
     built: dict[int, np.ndarray]
 
     def __contains__(self, word: str) -> bool:
@@ -81,24 +90,50 @@ class EmbeddingMatrix:
 
     def rows(self, words: Sequence[str]) -> np.ndarray:
         """Vectors [len(words), dim] of `words`; a word without a row gets <oov>'s.
-        Only their lines are decoded and parsed, in file order and CHUNK_ROWS
-        blocks, so an error names the first non-numeric line among them, else
-        the first non-finite one."""
+        Only their lines are read from the file, decoded and parsed, in file
+        order and CHUNK_ROWS blocks, so an error names the first non-numeric
+        line among them, else the first non-finite one. A file that is not
+        the one indexed (rewritten, or another renamed over it) is an error."""
         oov = self.index[OOV]
         ids = [self.index.get(w, oov) for w in words]
         parsed = sorted(set(ids).difference(self.built))
         values = np.empty((len(parsed), self.dim))
-        for lo in range(0, len(parsed), CHUNK_ROWS):
-            spans = [self.spans[i] for i in parsed[lo : lo + CHUNK_ROWS]]
-            block = [(lineno, self.data[at:end].decode()) for lineno, at, end in spans]
-            values[lo : lo + len(block)] = _parse_block(self.path, block, self.dim)
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if bad.size:
-            lineno, at, end = self.spans[parsed[bad[0]]]
-            word = self.data[at:end].split(b" ", 1)[0].decode()
+        non_finite = None
+        with open_regular(self.path) as fh:
+            if _identity(os.fstat(fh.fileno())) != self.identity:
+                raise self._changed()
+            for lo in range(0, len(parsed), CHUNK_ROWS):
+                spans = self.spans.take(parsed[lo : lo + CHUNK_ROWS], axis=0)
+                lines = self._read_lines(fh.fileno(), spans)
+                chunk = values[lo : lo + len(lines)] = _parse_block(
+                    self.path, spans[:, 0], lines, self.dim
+                )
+                bad = np.flatnonzero(~np.isfinite(chunk).all(axis=1))
+                if bad.size and non_finite is None:
+                    non_finite = spans[bad[0], 0], lines[bad[0]]
+        if non_finite is not None:
+            lineno, line = non_finite
+            word = line.split(" ", 1)[0]
             raise ResourceFormatError(f"{self.path}: line {lineno}: non-finite value for {word!r}")
         table = {**self.built, **dict(zip(parsed, values))}
         return np.array([table[i] for i in ids], dtype=np.float64).reshape(len(ids), self.dim)
+
+    def _read_lines(self, fd: int, spans: np.ndarray) -> list[str]:
+        """Text of the line at each of `spans`, in file order, read with one
+        `os.pread` per run of spans less than READ_GAP bytes apart."""
+        starts, ends = spans[:, 1:].T.tolist()
+        cut = (np.flatnonzero(spans[1:, 1] - spans[:-1, 2] >= READ_GAP) + 1).tolist()
+        lines = []
+        for a, b in zip([0, *cut], [*cut, len(starts)]):
+            at, size = starts[a], ends[b - 1] - starts[a]
+            data = os.pread(fd, size, at)
+            if len(data) < size:
+                raise self._changed()
+            lines += [data[lo - at : hi - at].decode() for lo, hi in zip(starts[a:b], ends[a:b])]
+        return lines
+
+    def _changed(self) -> ResourceFormatError:
+        return ResourceFormatError(f"{self.path}: changed since it was indexed")
 
 
 def load_embeddings(path, expected_dim: int, seed: int = 0) -> EmbeddingMatrix:
@@ -110,40 +145,26 @@ def load_embeddings(path, expected_dim: int, seed: int = 0) -> EmbeddingMatrix:
     `EmbeddingMatrix.rows` parses the rows a run asks for, so a bad value
     on a line no run uses (an unused or repeated word) is never read.
 
-    The file is read once as bytes and checked to be UTF-8 before any line
-    is. `_scan` then settles most lines from byte counts, a block at a time;
-    the rest go through `_index_lines`, the rule on decoded text that
-    defines line numbers, words, spans and errors.
+    The file is mapped read-only for the load and unmapped before it
+    returns; no copy of its bytes is kept. It is checked to be UTF-8 before
+    any line is read. `_scan` then settles most lines from byte counts, a
+    block at a time; the rest go through `_index_lines`, the rule on decoded
+    text that defines line numbers, words, spans and errors.
 
     <pad> is all zeros and <oov> is a seeded truncated-normal draw, both
     regardless of file contents; placeholder rows (<user>, <number>, <url>)
     are taken from the file when present, otherwise drawn the same way.
     """
     path = Path(path)
-    data = path.read_bytes()
-    ascii_only = data.isascii()
-    if not ascii_only:
-        view = memoryview(data)
-        for lo, hi in _blocks(data):
-            try:
-                str(view[lo:hi], "utf-8")
-            except UnicodeDecodeError as exc:
-                raise not_utf8(path, exc, lo) from None
     index: dict[str, int] = {}
-    spans: list[tuple[int, int, int]] = []
-    lineno = 0
-    for lo, hi in _blocks(data):
-        for at, end, count, settled in zip(*_scan(data, lo, hi, ascii_only)):
-            if not settled or count != expected_dim:
-                lineno = _index_lines(path, expected_dim, data, at, end, lineno, index, spans)
-                continue
-            lineno += 1
-            cut = data.find(b" ", at, end)
-            word = data[at : cut if cut >= 0 else end].decode()
-            if word not in index:
-                index[word] = len(spans)
-                spans.append((lineno, at, end))
-    if not spans:
+    spans = np.empty((0, 3), dtype=np.int64)
+    with open_regular(path) as fh:
+        identity = _identity(os.fstat(fh.fileno()))
+        # mmap refuses an empty file, which holds no vectors anyway.
+        if identity[2]:
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                spans = _index_file(path, expected_dim, data, index)
+    if not spans.size:
         raise ResourceFormatError(f"{path}: no embedding vectors found")
     drawn = [s for s in SPECIALS[2:] if s not in index]
     for special in SPECIALS:
@@ -153,20 +174,55 @@ def load_embeddings(path, expected_dim: int, seed: int = 0) -> EmbeddingMatrix:
         built[index[special]] = truncated_normal(
             stage_rng(seed, f"embeddings/{special}"), expected_dim
         )
-    return EmbeddingMatrix(path, expected_dim, index, data, spans, built)
+    return EmbeddingMatrix(path, expected_dim, index, spans, identity, built)
 
 
-def _blocks(data: bytes):
-    """(start, end) of consecutive blocks of `data`, each of at least
-    SCAN_BYTES bytes and ending after a newline, except the last."""
+def _identity(info: os.stat_result) -> tuple[int, int, int, int]:
+    return info.st_dev, info.st_ino, info.st_size, info.st_mtime_ns
+
+
+def _index_file(path, dim: int, data: mmap.mmap, index: dict[str, int]) -> np.ndarray:
+    """Index the lines of the mapped file `data` into `index`, word to row,
+    and return the rows' (line number, start, end) spans [n, 3]."""
+    ascii_only = bool(np.frombuffer(data, np.uint8).max(initial=0) < 0x80)
+    if not ascii_only:
+        # A quarter block at a time: decoded text takes up to 4 bytes a byte.
+        for lo, hi in _blocks(data, (SCAN_BYTES + 3) // 4):
+            try:
+                str(data[lo:hi], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise not_utf8(path, exc, lo) from None
+    chunks = []
+    lineno = 0
+    for lo, hi in _blocks(data, SCAN_BYTES):
+        spans = linenos, starts, ends = [], [], []
+        for at, end, count, settled in zip(*_scan(data, lo, hi, ascii_only)):
+            if not settled or count != dim:
+                lineno = _index_lines(path, dim, data, at, end, lineno, index, spans)
+                continue
+            lineno += 1
+            cut = data.find(b" ", at, end)
+            word = data[at : cut if cut >= 0 else end].decode()
+            if word not in index:
+                index[word] = len(index)
+                linenos.append(lineno)
+                starts.append(at)
+                ends.append(end)
+        chunks.append(np.array(spans, dtype=np.int64))
+    return np.concatenate(chunks, axis=1).T
+
+
+def _blocks(data: mmap.mmap, size: int):
+    """(start, end) of consecutive blocks of `data`, each of at least `size`
+    bytes and ending after a newline, except the last."""
     lo = 0
     while lo < len(data):
-        hi = data.find(b"\n", lo + SCAN_BYTES - 1) + 1 or len(data)
+        hi = data.find(b"\n", lo + size - 1) + 1 or len(data)
         yield lo, hi
         lo = hi
 
 
-def _scan(data: bytes, lo: int, hi: int, ascii_only: bool):
+def _scan(data: mmap.mmap, lo: int, hi: int, ascii_only: bool):
     """Lists of the start, end, count of 0x20 bytes and settledness of each
     newline-ended line of data[lo:hi]; the end is the offset of its newline,
     or `hi` for an unterminated last line.
@@ -187,11 +243,15 @@ def _scan(data: bytes, lo: int, hi: int, ascii_only: bool):
     if not ends.size or ends[-1] != arr.size - 1:
         ends = np.append(ends, arr.size)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    # int16 counts are exact on lines shorter than 2**15 bytes; longer ones go
-    # through `_index_lines`.
-    counts = np.add.reduceat((arr == 0x20).view(np.int8), starts, dtype=np.int16)
+    # Spaces are summed in uint8 over pieces of at most 255 bytes of a line,
+    # which is exact and needs no wider copy of the block's mask, then per line.
+    pieces = np.maximum((ends - starts + 254) // 255, 1)
+    first = np.cumsum(pieces) - pieces
+    cuts = np.repeat(starts - 255 * first, pieces) + 255 * np.arange(pieces.sum())
+    part = np.add.reduceat((arr == 0x20).view(np.uint8), cuts, dtype=np.uint8)
+    counts = np.add.reduceat(part, first, dtype=np.int64)
     last = arr[ends - 1]
-    settled = (ends > starts) & (ends - starts < 1 << 15) & (last > 0x20) & (last < 0x80)
+    settled = (ends > starts) & (last > 0x20) & (last < 0x80)
     if lo == 0:
         settled[0] = False
     breaks = [low[~newline]]
@@ -215,7 +275,8 @@ def _index_lines(path, dim, data, at, end, lineno, index, spans) -> int:
 
     The rule on each line: a first line of two integers is a header; a
     blank line is skipped; otherwise the line, rstripped, must hold `dim`
-    spaces, its word runs to the first, and a word's first line is kept.
+    spaces, its word runs to the first, and a word's first line is kept:
+    its number, start and end go to the three lists of `spans`.
     """
     for text in data[at : end + 1].decode().splitlines(keepends=True):
         lineno += 1
@@ -228,8 +289,9 @@ def _index_lines(path, dim, data, at, end, lineno, index, spans) -> int:
                     f"got {line.count(' ')}"
                 )
             if word not in index:
-                index[word] = len(spans)
-                spans.append((lineno, at, at + _utf8_len(line)))
+                index[word] = len(index)
+                for column, value in zip(spans, (lineno, at, at + _utf8_len(line))):
+                    column.append(value)
         at += _utf8_len(text)
     return lineno
 
@@ -244,9 +306,9 @@ def _utf8_len(text: str) -> int:
     return len(text) if text.isascii() else len(text.encode())
 
 
-def _parse_block(path, block: list[tuple[int, str]], dim: int) -> np.ndarray:
-    """Values [len(block), dim] of (line number, rstripped line) pairs, each
-    line holding `dim` single-space-separated values after its word.
+def _parse_block(path, linenos: np.ndarray, lines: list[str], dim: int) -> np.ndarray:
+    """Values [len(lines), dim] of rstripped `lines`, numbered `linenos`,
+    each holding `dim` single-space-separated values after its word.
 
     numpy's C text reader parses the block; a block it rejects is parsed
     again line by line with `float()`, which names the first bad line and
@@ -255,7 +317,7 @@ def _parse_block(path, block: list[tuple[int, str]], dim: int) -> np.ndarray:
     """
     try:
         return np.loadtxt(
-            [line for _, line in block],
+            lines,
             dtype=np.float64,
             delimiter=" ",
             usecols=range(1, dim + 1),
@@ -265,8 +327,9 @@ def _parse_block(path, block: list[tuple[int, str]], dim: int) -> np.ndarray:
     except ValueError:
         pass  # parsed again below, line by line
     return np.array(
-        [_parse_row(path, lineno, line) for lineno, line in block], dtype=np.float64
-    ).reshape(len(block), dim)
+        [_parse_row(path, lineno, line) for lineno, line in zip(linenos.tolist(), lines)],
+        dtype=np.float64,
+    ).reshape(len(lines), dim)
 
 
 def _parse_row(path, lineno: int, line: str) -> list[float]:

@@ -255,8 +255,8 @@ class TestTrainCommand:
             assert one == two, artifact
 
     def test_embeddings_file_is_freed_before_training(self, tmp_path, monkeypatch):
-        # The matrix holds the whole file text; only its vocabulary rows are
-        # needed once they are built.
+        # The matrix holds an index of every file line; only its vocabulary
+        # rows are needed once they are built.
         load, train = cli.load_embeddings, cli.train_model
         refs = []
 
@@ -273,6 +273,26 @@ class TestTrainCommand:
         monkeypatch.setattr(cli, "train_model", training)
         config = write_config(tmp_path / "run.cfg", tmp_path / "out", epochs=1)
         assert entrypoint(["train", "--config", str(config)]) == 0
+
+    def test_embeddings_changed_after_the_load_exit_2(self, tmp_path, monkeypatch, capsys):
+        embeddings = tmp_path / "e.txt"
+        embeddings.write_bytes((FIXTURES / "embeddings.txt").read_bytes())
+        load = cli.load_embeddings
+
+        def loading(*args, **kwargs):
+            matrix = load(*args, **kwargs)
+            copy = tmp_path / "copy.txt"
+            copy.write_bytes(embeddings.read_bytes())
+            os.replace(copy, embeddings)
+            return matrix
+
+        monkeypatch.setattr(cli, "load_embeddings", loading)
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", epochs=1,
+                              embeddings=embeddings)
+        assert entrypoint(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: embeddings: {embeddings}: changed since it was indexed\n"
+        assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         for seed_args in ([], ["--seed", "1"]):

@@ -1,4 +1,8 @@
 """Loader contracts: embeddings, thesaurus, corpus, vocabulary."""
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emosent import resources
-from emosent.artifacts import read_text
+from emosent.artifacts import NotRegularFileError, read_text
+from emosent.checkpoint import load_checkpoint
 from emosent.resources import (
     Corpus,
     CorpusIntegrityError,
@@ -282,6 +287,66 @@ class TestLoadEmbeddings:
         assert len(emb.spans) == 1700
         assert peak < 1.5 * size, f"peak {peak / size:.2f}x the file"
 
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self")
+    @pytest.mark.parametrize("word", ["w", "\U0001f600"], ids=["ascii", "utf8"])
+    def test_load_keeps_no_copy_of_the_file(self, tmp_path, word):
+        # The file of the one-copy test: the load maps it, keeps none of its
+        # bytes, and leaves no mapping and no descriptor open.
+        values = " 0.12345" * 300
+        f = write(tmp_path / "e.txt", "".join(f"{word}{i}{values}\n" for i in range(1700)))
+        size = f.stat().st_size
+        # A first load makes the imports and caches of a first call, which
+        # are not the load's memory.
+        load_embeddings(f, 300)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        tracemalloc.start()
+        try:
+            emb = load_embeddings(f, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.spans.dtype == np.int64 and emb.spans.shape == (1700, 3)
+        assert peak < 0.25 * size, f"peak {peak / size:.2f}x the file"
+        assert str(f) not in Path("/proc/self/maps").read_text()
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    def test_long_lines_are_counted_exactly(self, tmp_path):
+        # 300 spaces read as 44 in a count that wraps at 256.
+        f = write(tmp_path / "e.txt", f"w{' 1' * 44}\nv{' 1' * 300}\n")
+        with pytest.raises(ResourceFormatError, match="line 2: expected 44 values for 'v', got 300"):
+            load_embeddings(f, 44)
+
+    @pytest.mark.parametrize("gap", [1, 7, resources.READ_GAP])
+    def test_rows_read_in_runs_equal_the_oracle(self, tmp_path, monkeypatch, gap):
+        monkeypatch.setattr(resources, "READ_GAP", gap)
+        f = tmp_path / "e.txt"
+        f.write_text("2 2\na 1 2\n\nb 3 4\r\n\u00e9 .5 1_0\nc 5 6  \na 7 8\nd 9 1e-320", newline="")
+
+        def draw(special):
+            return truncated_normal(stage_rng(3, f"embeddings/{special}"), 2)
+
+        words, matrix = load_embeddings_per_line(f, 2, SPECIALS, draw)
+        emb = load_embeddings(f, 2, seed=3)
+        for picked in (words, words[::2], words[1::3], words[::-1]):
+            expected = matrix[[words.index(w) for w in picked]]
+            assert emb.rows(picked).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("change", ["rewrite", "rename"])
+    def test_file_changed_since_the_load_is_named(self, tmp_path, change):
+        f = write(tmp_path / "e.txt", "a 1 2\nb 3 4\n")
+        emb = load_embeddings(f, 2)
+        assert emb.rows(["a", "b"]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        if change == "rewrite":
+            write(f, "a 1 2\nb 3 4\nc 5 6\n")
+        else:
+            # Same bytes and times: only the file's inode tells it apart.
+            times = f.stat()
+            other = write(tmp_path / "other.txt", "a 1 2\nb 3 4\n")
+            os.utime(other, ns=(times.st_atime_ns, times.st_mtime_ns))
+            os.replace(other, f)
+        with pytest.raises(ResourceFormatError, match=f"^{re.escape(str(f))}: changed since it was indexed$"):
+            emb.rows(["a"])
+
     @pytest.mark.parametrize("scan", [64, resources.SCAN_BYTES])
     def test_invalid_utf8_after_the_first_block_names_its_offset(self, tmp_path, monkeypatch, scan):
         monkeypatch.setattr(resources, "SCAN_BYTES", scan)
@@ -303,6 +368,48 @@ class TestLoadEmbeddings:
         emb = load_embeddings(f, 2, seed=4)
         drawn = truncated_normal(stage_rng(4, f"embeddings/{OOV}"), 2)
         np.testing.assert_array_equal(emb.rows([PAD, OOV]), [np.zeros(2), drawn])
+
+
+READERS = {
+    "read_text": "from emosent.artifacts import read_text as read",
+    "load_embeddings": "from emosent.resources import load_embeddings\n"
+    "def read(path): load_embeddings(path, 2)",
+    "load_checkpoint": "from emosent.checkpoint import load_checkpoint as read",
+}
+
+
+class TestNotRegularFile:
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_directory_is_named(self, tmp_path, reader):
+        read = {
+            "read_text": read_text,
+            "load_embeddings": lambda path: load_embeddings(path, 2),
+            "load_checkpoint": load_checkpoint,
+        }[reader]
+        with pytest.raises(NotRegularFileError, match=f"^{re.escape(str(tmp_path))}: not a regular file$"):
+            read(tmp_path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_fifo_without_a_writer_is_named_at_once(self, tmp_path, reader):
+        # In a child process with a timeout: a reader that waits for a writer
+        # fails the test instead of hanging it.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        code = (
+            f"import sys\n{READERS[reader]}\n"
+            "from emosent.artifacts import NotRegularFileError\n"
+            "try:\n    read(sys.argv[1])\n"
+            "except NotRegularFileError as exc:\n    print(exc)\n"
+        )
+        src = str(Path(resources.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(fifo)], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{fifo}: not a regular file\n"
 
 
 class TestThesaurus:
