@@ -2,9 +2,10 @@
 
 Per task the pipeline is: token embeddings -> BiLSTM states h_t -> word
 attention over thesaurus candidate embeddings (modes S2/E2/M2) giving
-hhat_t = concat(mix_t, h_t) -> sentence attention pooling the sequence
-with weights softmax_t(u · tanh(W_s hhat_t + b_s)) -> one affine sigmoid
-head. Modes S*/E* run one task, M* run both off the same encoder states.
+hhat_t = concat(mix_t, h_t), the mix zero for a token without candidates,
+which forms no query -> sentence attention pooling the sequence with weights
+softmax_t(u · tanh(W_s hhat_t + b_s)) -> one affine sigmoid head. Modes
+S*/E* run one task, M* run both off the same encoder states.
 The pooled width is embed_dim + 2*lstm_hidden with word attention on,
 2*lstm_hidden with it off.
 
@@ -234,13 +235,13 @@ def bilstm_forward(
 def primary_attention(
     h: nd.Tensor, keys: nd.Tensor, mask: np.ndarray, params: Mapping[str, nd.Tensor], task: str
 ) -> tuple[np.ndarray, nd.Tensor]:
-    """Word attention: row t of `h` [N, 2H] attends over its candidate
-    embeddings, rows t*K .. t*K+K-1 of `keys` [N*K, embed_dim] where
-    `mask` [N, K] is set; a row without candidates mixes in zeros.
+    """Word attention (`nd.affine_attend`): each of the R rows of `h` [N, 2H]
+    with a set entry in `mask` [N, K] attends over its K candidate embeddings,
+    the next K rows of `keys` [R*K, embed_dim] in row order, where the mask is
+    set; a row without candidates forms no query and mixes in zeros.
     Returns the weights [N, K] and hhat = concat(mix, h) [N, pooled_dim].
     """
-    query = nd.affine(h, params[f"{task}/W_w"], params[f"{task}/b_w"])
-    mix, alpha = nd.attend(query, keys, mask)
+    mix, alpha = nd.affine_attend(h, params[f"{task}/W_w"], params[f"{task}/b_w"], keys, mask)
     return alpha, nd.concat([mix, h])
 
 
@@ -314,15 +315,15 @@ def forward(
     trace = ForwardTrace()
     embedding = params["embedding"]
     if config.primary_attention_enabled:
-        # Candidate lists are padded to the longest one; the stand-in row 0
-        # is masked out, so it gets zero weight and zero gradient.
+        # Tokens with candidates get keys, padded to the longest list; the
+        # stand-in row 0 is masked out: zero weight and zero gradient.
         candidates = [ids for ex in examples for ids in ex.candidate_ids]
         counts = [len(ids) for ids in candidates]
         width = max(counts)
         mask = np.arange(width) < np.array(counts)[:, None]
-        keys = nd.take_rows(
-            embedding, [i for ids in candidates for i in list(ids) + [0] * (width - len(ids))]
-        )
+        keys = nd.take_rows(embedding, [
+            i for ids in candidates if ids for i in list(ids) + [0] * (width - len(ids))
+        ])
     for task in config.tasks:
         hhat = states
         if config.primary_attention_enabled:

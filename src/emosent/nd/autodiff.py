@@ -2,11 +2,12 @@
 
 Everything here is deliberately small: 1-D and 2-D arrays, the handful of
 primitives the sequence model needs (among them fused ops for an affine
-layer, masked attention, attention pooling and a bidirectional LSTM, each
-one tape entry for a whole batch of sequences), and a tape that records
-ops in execution order (which is already a topological order) and replays
-them backwards. Ops record on the calling thread only; `bilstm`, the
-backward pass of `affine` and `adam_step` may hand half their work to a
+layer, masked attention over affine queries formed only for the rows that
+have keys, attention pooling and a bidirectional LSTM, each one tape entry
+for a whole batch of sequences), and a tape that records ops in execution
+order (which is already a topological order) and replays them backwards.
+Ops record on the calling thread only; `bilstm`, the backward passes of
+`affine` and `affine_attend` and `adam_step` may hand half their work to a
 thread started for that hand-off (see `_both`), but each op records one
 entry. One kernel, `_run_directions`, runs `bilstm`'s LSTM directions on
 either schedule: both as one interleaved stack on the calling thread, or
@@ -208,42 +209,58 @@ def sigmoid_values(x) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def attend(queries: Tensor, keys: Tensor, mask) -> tuple[Tensor, np.ndarray]:
-    """Masked dot-product attention of each query over its own K keys.
+def affine_attend(x: Tensor, W: Tensor, b: Tensor, keys: Tensor,
+                  mask) -> tuple[Tensor, np.ndarray]:
+    """Masked dot-product attention of each row's query x_t @ W + b over its
+    own K keys, as one tape entry.
 
-    Row t of `queries` [T, d] scores rows t*K .. t*K+K-1 of `keys` [T*K, d]
-    where the boolean `mask` [T, K] is set, normalizes those scores with a
-    max-subtracted softmax and mixes the keys with the weights. A row with
-    no unmasked key mixes in zeros, and masked keys get exactly zero weight
-    and zero gradient. Returns the mix [T, d] as one tape entry and the
-    weights [T, K] as a plain array. The backward pass forms no key gradient
+    The R rows of `x` [N, in] whose row of the boolean `mask` [N, K] has a
+    set entry own K rows of `keys` [R*K, out] each, in row order. Only those
+    rows form a query, as one GEMM, score their keys where the mask is set,
+    normalize the scores with a max-subtracted softmax and mix the keys with
+    the weights. Every other row mixes in zeros, and masked keys get exactly
+    zero weight and zero gradient. Returns the mix [N, out] and the weights
+    [N, K] as a plain array. The backward pass forms the gradients of W and
+    b and x's rows from the R rows alone, x's other rows get zeros, and its
+    two GEMMs run under the rule of `affine`'s; it forms no key gradient
     (None) when `keys` needs none.
     """
     mask = np.asarray(mask, dtype=bool)
-    fits = queries.data.ndim == mask.ndim == 2 and mask.shape[0] == queries.shape[0]
-    if not fits or keys.shape != (mask.size, queries.shape[1]):
-        raise ShapeError(f"attend: need queries [T, d], keys [T*K, d], mask [T, K], got "
-                         f"{queries.shape}, {keys.shape}, {mask.shape}")
-    steps, width = mask.shape
-    q = queries.data
-    k = keys.data.reshape(steps, width, q.shape[1])
+    xd, wd = x.data, W.data
+    fits = xd.ndim == wd.ndim == mask.ndim == 2 and mask.shape[0] == xd.shape[0]
+    rows = np.flatnonzero(mask.any(axis=1)) if fits else None
+    if not fits or (xd.shape[1], *b.shape) != wd.shape or keys.shape != (
+            rows.size * mask.shape[1], wd.shape[1]):
+        raise ShapeError("affine_attend: need x [N, in], W [in, out], b [out], mask [N, K] and "
+                         f"keys [R*K, out], got {x, W, b, keys}, mask {mask.shape}")
+    x_r, set_r = xd[rows], mask[rows]
+    q = np.dot(x_r, wd) + b.data
+    k = keys.data.reshape(rows.size, mask.shape[1], wd.shape[1])
     scores = np.matmul(k, q[:, :, None])[:, :, 0]
-    top = np.max(scores, axis=1, keepdims=True, initial=-np.inf, where=mask)
-    e = np.exp(scores - top, out=np.zeros_like(scores), where=mask)
-    total = e.sum(axis=1, keepdims=True)
-    weights = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
-    out = Tensor(np.matmul(weights[:, None, :], k)[:, 0, :])
+    top = np.max(scores, axis=1, keepdims=True, initial=-np.inf, where=set_r)
+    e = np.exp(scores - top, out=np.zeros_like(scores), where=set_r)
+    w = e / e.sum(axis=1, keepdims=True)
+    weights, mix = np.zeros(mask.shape), np.zeros((xd.shape[0], wd.shape[1]))
+    weights[rows] = w
+    mix[rows] = np.matmul(w[:, None, :], k)[:, 0, :]
 
     def bwd(g):
-        d_weights = np.matmul(k, g[:, :, None])[:, :, 0]
-        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=1, keepdims=True))
-        d_queries = np.matmul(d_scores[:, None, :], k)[:, 0, :]
+        g_r = g[rows]
+        d_weights = np.matmul(k, g_r[:, :, None])[:, :, 0]
+        d_scores = w * (d_weights - (d_weights * w).sum(axis=1, keepdims=True))
+        d_q = np.matmul(d_scores[:, None, :], k)[:, 0, :]
+        parallel = x.requires_grad and _two_threads(rows.size * wd.size, AFFINE_PARALLEL_MIN_WORK)
+        d_x_r, d_w = np.empty_like(x_r), np.empty_like(wd)
+        _both(lambda: np.matmul(d_q, wd.T, out=d_x_r), lambda: np.matmul(x_r.T, d_q, out=d_w),
+              parallel)
+        d_x = np.zeros_like(xd)
+        d_x[rows] = d_x_r
         if not keys.requires_grad:
-            return d_queries, None
-        d_keys = weights[:, :, None] * g[:, None, :] + d_scores[:, :, None] * q[:, None, :]
-        return d_queries, d_keys.reshape(keys.shape)
+            return d_x, d_w, d_q.sum(axis=0), None
+        d_keys = w[:, :, None] * g_r[:, None, :] + d_scores[:, :, None] * q[:, None, :]
+        return d_x, d_w, d_q.sum(axis=0), d_keys.reshape(keys.shape)
 
-    return _record(out, (queries, keys), bwd), weights
+    return _record(Tensor(mix), (x, W, b, keys), bwd), weights
 
 
 def _split_lengths(op: str, lengths, rows: int) -> np.ndarray:

@@ -186,25 +186,27 @@ class TestGradientRules:
         )
 
     def test_attend(self):
-        # Row 0 attends over 2 of its 3 keys, row 1 over all 3, row 2 over none.
+        # Row 0 attends over 2 of its 3 keys, row 1 over all 3, row 2 over
+        # none, so it owns no key rows and forms no query.
         mask = np.array([[True, False, True], [True, True, True], [False, False, False]])
         probe = nd.Tensor(RNG.normal(size=6))
 
         def loss_fn(p):
-            mix, _ = nd.attend(p["q"], p["k"], mask)
+            mix, _ = nd.affine_attend(p["x"], p["W"], p["b"], p["k"], mask)
             return weighted(mix, probe)
 
         params = {
-            "q": nd.Tensor(RNG.normal(size=(3, 2)), requires_grad=True),
-            "k": nd.Tensor(RNG.normal(size=(9, 2)), requires_grad=True),
+            name: nd.Tensor(RNG.normal(size=shape), requires_grad=True)
+            for name, shape in [("x", (3, 4)), ("W", (4, 2)), ("b", (2,)), ("k", (6, 2))]
         }
         check_against_central_differences(loss_fn, params)
         with nd.Tape() as tape:
             loss = loss_fn(params)
-        _, grad_k = tape.gradients(loss, [params["q"], params["k"]])
-        padded = ~mask.reshape(-1)
+        grad_x, grad_k = tape.gradients(loss, [params["x"], params["k"]])
+        padded = ~mask[:2].reshape(-1)
         assert np.all(grad_k[padded] == 0.0)
         assert np.all(grad_k[~padded] != 0.0)
+        assert np.all(grad_x[2] == 0.0) and np.all(grad_x[:2] != 0.0)
 
     def test_take_rows_with_duplicate_index(self):
         probe = nd.Tensor(RNG.normal(size=9))

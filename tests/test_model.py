@@ -1,4 +1,6 @@
 """Network ops against loop oracles, plus trace and mode invariants."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -260,10 +262,11 @@ class TestPrimaryAttention:
     def test_empty_candidate_set_mixes_zero(self):
         params = attention_params()
         h = nd.Tensor([np.arange(8.0)])
-        # No key slots at all, or only masked-out padding slots.
+        # No key slots at all, or only masked-out padding slots; either way
+        # the token owns no key rows.
         for width in (0, 2):
             alpha, hhat = primary_attention(
-                h, nd.Tensor(np.ones((width, 5))), np.zeros((1, width), bool),
+                h, nd.Tensor(np.ones((0, 5))), np.zeros((1, width), bool),
                 params, TASK_SENTIMENT,
             )
             np.testing.assert_array_equal(alpha, np.zeros((1, width)))
@@ -590,6 +593,132 @@ class TestSequenceForwardOracle:
             counts.append(len(tape.entries))
         assert counts[0] <= 40
         assert counts[1] == counts[0]
+
+
+WORD_ATTENTION_MODES = ("M2", "S2", "E2")
+
+# Ragged batches of 1-4 tweets of 1-5 tokens over a 9-word vocabulary, each
+# token with 0 to dt_k = 2 candidates.
+ragged_batches = st.lists(
+    st.lists(st.tuples(st.integers(0, 8), st.lists(st.integers(0, 8), max_size=2)),
+             min_size=1, max_size=5),
+    min_size=1,
+    max_size=4,
+)
+
+# A length-1 tweet without candidates, and tokens with 0, 1 and 2 of them.
+MIXED_BATCH = [[(1, [2, 3]), (4, [])], [(5, [])], [(6, [7]), (8, [3, 2]), (2, [])]]
+
+
+def word_attention_batch(tweets, bare=False):
+    """Encoded examples from lists of (token, candidates); `bare` drops
+    every candidate."""
+    return [
+        EncodedExample(f"w{i}", [t for t, _ in tokens], [[] if bare else c for _, c in tokens],
+                       "positive", np.array([1.0, 0, 0, 1.0, 0, 0, 0, 0]))
+        for i, tokens in enumerate(tweets)
+    ]
+
+
+def forward_seeing_word_attention(examples, params, config):
+    """`forward`'s trace, and per task the states [N, 2H] and hhat
+    [N, pooled_dim] that `primary_attention` took and gave."""
+    seen = {}
+
+    def recording(h, keys, mask, p, task):
+        alpha, hhat = primary_attention(h, keys, mask, p, task)
+        seen[task] = (h.data, hhat.data)
+        return alpha, hhat
+
+    with mock.patch("emosent.model.primary_attention", recording):
+        trace = forward(examples, params, config)
+    return trace, seen
+
+
+class TestWordAttentionEdges:
+    """Word attention on ragged batches: length-1 tweets, tokens with 0 to
+    dt_k candidates, and batches in which no token has one."""
+
+    @given(mode=st.sampled_from(WORD_ATTENTION_MODES), tweets=ragged_batches,
+           bare=st.booleans(), seed=st.integers(0, 2**16))
+    @example(mode="M2", tweets=[[(3, [])]], bare=False, seed=0)
+    @example(mode="S2", tweets=MIXED_BATCH, bare=False, seed=1)
+    @example(mode="E2", tweets=MIXED_BATCH, bare=True, seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_examples_and_oracle(self, mode, tweets, bare, seed):
+        config = tiny_config(mode)
+        params = init_parameters(config, vocab_size=9, seed=seed)
+        examples = word_attention_batch(tweets, bare)
+        trace, seen = forward_seeing_word_attention(examples, params, config)
+        candidates = [ids for ex in examples for ids in ex.candidate_ids]
+        embedding = params["embedding"].data
+        for task in config.tasks:
+            states, hhat = seen[task]
+            W_w, b_w = (params[f"{task}/{n}"].data.tolist() for n in ("W_w", "b_w"))
+            for t, ids in enumerate(candidates):
+                alpha, mix = trace.primary_alpha[task][t], hhat[t, : config.embed_dim]
+                if not ids:
+                    assert alpha.shape == (0,)
+                    assert np.array_equal(mix, np.zeros(config.embed_dim))
+                    continue
+                want_alpha, want_mix = primary_attention_loops(
+                    states[t].tolist(), W_w, b_w, embedding[ids].tolist()
+                )
+                assert np.abs(alpha - want_alpha).max() < 1e-12
+                assert np.abs(mix - want_mix).max() < 1e-12
+        start = 0
+        for b, ex in enumerate(examples):
+            single, stop = forward(ex, params, config), start + len(ex.token_ids)
+            for task in config.tasks:
+                for got, want in zip(trace.primary_alpha[task][start:stop],
+                                     single.primary_alpha[task], strict=True):
+                    assert got.shape == want.shape
+                    assert np.all(np.abs(got - want) <= 1e-12)
+                alpha = trace.sentence_alpha[task][start:stop]
+                assert np.abs(alpha - single.sentence_alpha[task]).max() <= 1e-12
+                logits = trace.logits[task].data[b]
+                assert np.abs(logits - single.logits[task].data[0]).max() <= 1e-12
+            start = stop
+
+    @given(mode=st.sampled_from(WORD_ATTENTION_MODES), tweets=ragged_batches,
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_batch_without_candidates_leaves_projection_ungraded(self, mode, tweets, seed):
+        config = tiny_config(mode, dropout=0.5, train_embeddings=True)
+        params = init_parameters(config, vocab_size=9, seed=seed)
+        examples = word_attention_batch(tweets, bare=True)
+        with nd.Tape() as tape:
+            trace = forward(examples, params, config, train_mode=True,
+                            dropout_rng=np.random.default_rng(seed))
+            loss = joint_loss(trace, examples, config)
+        names = [f"{task}/{n}" for task in config.tasks for n in ("W_w", "b_w")]
+        for name, grad in zip(names, tape.gradients(loss, [params[n] for n in names])):
+            assert np.array_equal(grad, np.zeros(params[name].shape)), name
+
+    @pytest.mark.parametrize("mode", WORD_ATTENTION_MODES)
+    @pytest.mark.parametrize("trainable_keys", [False, True])
+    def test_gradients_on_a_mixed_batch(self, mode, trainable_keys):
+        # Five times the initial scale, at this seed, leaves every checked
+        # coordinate at 0 or above 1e-7 (asserted), where the central
+        # differences' rounding of about 1e-11 is a tenth of the 1e-3 check.
+        config = tiny_config(mode, train_embeddings=trainable_keys)
+        params = {
+            name: nd.Tensor(5.0 * p.data, requires_grad=p.requires_grad)
+            for name, p in init_parameters(config, vocab_size=9, seed=0).items()
+        }
+        checked = {name: p for name, p in params.items() if p.requires_grad}
+        fixed = {name: p for name, p in params.items() if not p.requires_grad}
+        examples = word_attention_batch(MIXED_BATCH)
+
+        def loss_fn(p):
+            return joint_loss(forward(examples, {**fixed, **p}, config), examples, config)
+
+        assert_gradients_clear_of_zero(loss_fn, checked, 1e-7)
+        report = nd.grad_check(loss_fn, checked)
+        assert report.ok(1e-3), (
+            f"worst {report.worst_param}{report.worst_index}: "
+            f"{report.analytic_at_worst} vs {report.numeric_at_worst}"
+        )
 
 
 def model_loss_fn(example, config, fixed):

@@ -141,13 +141,22 @@ class TestAttentionPool:
             nd.attention_pool(keys, context, values)
 
 
+def attend_identity(x, keys, mask):
+    """`nd.affine_attend` with W = I and b = 0, so each row's query is the
+    row itself."""
+    d = np.shape(x)[-1]
+    return nd.affine_attend(
+        nd.Tensor(x), nd.Tensor(np.eye(d)), nd.Tensor(np.zeros(d)), nd.Tensor(keys), mask
+    )
+
+
 class TestAttend:
     def test_rows_match_softmax_over_their_own_keys(self):
         rng = np.random.default_rng(5)
         q = rng.normal(size=(2, 3))
         k = rng.normal(size=(6, 3))
         mask = np.array([[True, True, False], [True, False, True]])
-        mix, weights = nd.attend(nd.Tensor(q), nd.Tensor(k), mask)
+        mix, weights = attend_identity(q, k, mask)
         for t in range(2):
             keys = k[3 * t : 3 * t + 3][mask[t]]
             alpha = softmax_list((keys @ q[t]).tolist())
@@ -157,19 +166,58 @@ class TestAttend:
 
     @pytest.mark.parametrize("width", [0, 2])
     def test_row_without_keys_mixes_zeros(self, width):
-        mix, weights = nd.attend(
-            nd.Tensor(np.ones((1, 3))), nd.Tensor(np.ones((width, 3))), np.zeros((1, width), bool)
-        )
+        # The row owns no key rows, whatever the mask's width.
+        mix, weights = attend_identity(np.ones((1, 3)), np.ones((0, 3)), np.zeros((1, width), bool))
         np.testing.assert_array_equal(mix.data, np.zeros((1, 3)))
         np.testing.assert_array_equal(weights, np.zeros((1, width)))
+
+    def test_rows_with_keys_own_them_in_row_order(self):
+        rng = np.random.default_rng(6)
+        q, k = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        mask = np.array([[False, False], [True, True], [False, False], [True, False]])
+        mix, weights = attend_identity(q, k, mask)
+        alone = [attend_identity(q[[t]], k[2 * r : 2 * r + 2], mask[[t]])
+                 for r, t in enumerate((1, 3))]
+        np.testing.assert_array_equal(mix.data[[1, 3]], [m.data[0] for m, _ in alone])
+        np.testing.assert_array_equal(weights[[1, 3]], [w[0] for _, w in alone])
+        np.testing.assert_array_equal(mix.data[[0, 2]], 0.0)
+        np.testing.assert_array_equal(weights[[0, 2]], 0.0)
+
+    def test_rows_without_keys_are_never_read(self):
+        # NaN states on the rows without keys: a product that read them
+        # would carry NaN into the mix or a gradient, since 0 * NaN is NaN.
+        rng = np.random.default_rng(7)
+        mask = np.array([[True, False], [False, False], [True, True], [False, False]])
+        x = rng.normal(size=(4, 5))
+        x[[1, 3]] = np.nan
+        inputs = [nd.Tensor(v, requires_grad=True)
+                  for v in (x, rng.normal(size=(5, 3)), rng.normal(size=3), rng.normal(size=(4, 3)))]
+        with nd.Tape() as tape:
+            mix, weights = nd.affine_attend(*inputs, mask)
+        d_x, d_w, d_b, d_keys = tape.entries[0].backward(rng.normal(size=(4, 3)))
+        for name, a in [("mix", mix.data), ("weights", weights), ("d_W", d_w), ("d_b", d_b),
+                        ("d_keys", d_keys), ("d_x rows with keys", d_x[[0, 2]])]:
+            assert np.all(np.isfinite(a)), name
+        assert np.array_equal(d_x[[1, 3]], np.zeros((2, 5)))
 
     @pytest.mark.parametrize(
         "queries,keys,mask",
         [((2, 3), (4, 3), (2, 3)), ((2, 3), (4, 2), (2, 2)), ((3,), (2, 3), (1, 2))],
     )
     def test_mismatched_operands_rejected(self, queries, keys, mask):
-        with pytest.raises(nd.ShapeError, match="attend"):
-            nd.attend(nd.Tensor(np.ones(queries)), nd.Tensor(np.ones(keys)), np.ones(mask, bool))
+        with pytest.raises(nd.ShapeError, match="affine_attend"):
+            attend_identity(np.ones(queries), np.ones(keys), np.ones(mask, bool))
+
+    @pytest.mark.parametrize(
+        "W,b,keys",
+        # W against x, b against W, then a key row for the row without keys.
+        [((2, 2), (2,), (2, 2)), ((3, 2), (3,), (2, 2)), ((3, 2), (2,), (4, 2))],
+    )
+    def test_projection_and_key_count_checked(self, W, b, keys):
+        mask = np.array([[True, True], [False, False]])
+        x, W, b, keys = (nd.Tensor(np.ones(s)) for s in ((2, 3), W, b, keys))
+        with pytest.raises(nd.ShapeError, match="affine_attend"):
+            nd.affine_attend(x, W, b, keys, mask)
 
 
 class TestAffineConcatShapes:

@@ -1,10 +1,11 @@
 """`nd.bilstm` gives bit-identical results on either schedule: its two
 directions one after the other on the calling thread, or the forward one on
-a second thread at the same time. So do `nd.affine`'s backward pass and
-`nd.adam_step`, and a whole training run. On both, a frozen input of
-`nd.bilstm` or `nd.attend` gets no gradient and changes no other one. The
-schedule follows one rule (`autodiff._two_threads`), which keeps everything
-serial under multi-threaded BLAS."""
+a second thread at the same time. So do the backward passes of `nd.affine`
+and `nd.affine_attend`, `nd.adam_step`, and a whole training run. On both, a
+frozen input of `nd.bilstm` or `nd.affine_attend` gets no gradient and
+changes no other one. The schedule follows one rule
+(`autodiff._two_threads`), which keeps everything serial under
+multi-threaded BLAS."""
 import multiprocessing
 import os
 import queue
@@ -199,7 +200,7 @@ def test_forked_child_runs_the_parallel_schedule(monkeypatch):
 
 
 def frozen_input_gradients(xs_trainable, keys_trainable, hidden=8, seed=1):
-    """The gradient of a loss through `nd.bilstm` and then `nd.attend` for
+    """The gradient of a loss through `nd.bilstm` and then `nd.affine_attend` for
     each input that requires one, by name, and what the two ops' backward
     passes give for `xs` and `keys`."""
     rng = np.random.default_rng(seed)
@@ -213,19 +214,21 @@ def frozen_input_gradients(xs_trainable, keys_trainable, hidden=8, seed=1):
         for name, shape in (("W", (width, 4 * hidden)), ("U", (hidden, 4 * hidden)),
                             ("b", (4 * hidden,))):
             inputs[f"{direction}/{name}"] = tensor(*shape)
-    inputs["keys"] = tensor(rows * k, 2 * hidden, trainable=keys_trainable)
     mask = rng.random((rows, k)) < 0.7
+    with_keys = int(mask.any(axis=1).sum())
+    inputs["keys"] = tensor(with_keys * k, 2 * hidden, trainable=keys_trainable)
+    W, b = tensor(2 * hidden, 2 * hidden, trainable=False), tensor(2 * hidden, trainable=False)
     probe = nd.Tensor(rng.normal(size=(rows, 2 * hidden)))
     fw, bw = ([inputs[f"{d}/{n}"] for n in "WUb"] for d in ("fw", "bw"))
     with nd.Tape() as tape:
         states = nd.bilstm(inputs["xs"], fw, bw, LENGTHS)
-        mix, _ = nd.attend(states, inputs["keys"], mask)
+        mix, _ = nd.affine_attend(states, W, b, inputs["keys"], mask)
         loss = nd.sum(nd.mul(nd.add(states, mix), probe))
     names = [name for name, t in inputs.items() if t.requires_grad]
     grads = dict(zip(names, tape.gradients(loss, [inputs[n] for n in names])))
     bilstm_entry, attend_entry = tape.entries[:2]
     d_xs = bilstm_entry.backward(probe.data)[0]
-    d_keys = attend_entry.backward(probe.data)[1]
+    d_keys = attend_entry.backward(probe.data)[3]
     return grads, d_xs, d_keys
 
 
@@ -332,6 +335,27 @@ def test_affine_gradients_match(x_trainable, monkeypatch):
             nd.affine(x, W, b)
         results[parallel] = tape.entries[0].backward(g)
         # Both schedules hand the pair of GEMMs to `_both`; a frozen x keeps it serial.
+        assert flags == [parallel and x_trainable]
+    for serial, threaded in zip(results[False], results[True]):
+        assert np.array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("x_trainable", [True, False])
+def test_affine_attend_gradients_match(x_trainable, monkeypatch):
+    rng = np.random.default_rng(7)
+    mask = np.array([[True, False], [False, False], [True, True], [False, True]])
+    x = nd.Tensor(rng.normal(size=(4, 5)), requires_grad=x_trainable)
+    W = nd.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    b = nd.Tensor(rng.normal(size=3), requires_grad=True)
+    keys = nd.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    g = rng.normal(size=(4, 3))
+    results = {}
+    for parallel in (False, True):
+        force_every_schedule(monkeypatch, parallel)
+        flags = record_schedules(monkeypatch)
+        with nd.Tape() as tape:
+            nd.affine_attend(x, W, b, keys, mask)
+        results[parallel] = tape.entries[0].backward(g)
         assert flags == [parallel and x_trainable]
     for serial, threaded in zip(results[False], results[True]):
         assert np.array_equal(serial, threaded)
