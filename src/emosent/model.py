@@ -1,11 +1,13 @@
 """Two-layered multi-task attention network over a shared BiLSTM encoder.
 
 Per task the pipeline is: token embeddings -> BiLSTM states h_t -> word
-attention over thesaurus candidate embeddings (modes S2/E2/M2) giving
-hhat_t = concat(mix_t, h_t), the mix zero for a token without candidates,
-which forms no query -> sentence attention pooling the sequence with weights
-softmax_t(u · tanh(W_s hhat_t + b_s)) -> one affine sigmoid head. Modes
-S*/E* run one task, M* run both off the same encoder states.
+attention over thesaurus candidate embeddings (modes S2/E2/M2) giving a mix
+for each token with candidates -> sentence attention pooling the sequence of
+hhat_t = concat(mix_t, h_t) with weights softmax_t(u · tanh(W_s hhat_t +
+b_s)) -> one affine sigmoid head. A token without candidates forms no query
+and no mix row, and its mix counts as zero: sentence attention reads the mix
+only on the tokens that have one, and no hhat is ever formed. Modes S*/E*
+run one task, M* run both off the same encoder states.
 The pooled width is embed_dim + 2*lstm_hidden with word attention on,
 2*lstm_hidden with it off.
 
@@ -234,26 +236,31 @@ def bilstm_forward(
 
 def primary_attention(
     h: nd.Tensor, keys: nd.Tensor, mask: np.ndarray, params: Mapping[str, nd.Tensor], task: str
-) -> tuple[np.ndarray, nd.Tensor]:
+) -> tuple[np.ndarray, tuple[nd.Tensor, np.ndarray]]:
     """Word attention (`nd.affine_attend`): each of the R rows of `h` [N, 2H]
     with a set entry in `mask` [N, K] attends over its K candidate embeddings,
     the next K rows of `keys` [R*K, embed_dim] in row order, where the mask is
-    set; a row without candidates forms no query and mixes in zeros.
-    Returns the weights [N, K] and hhat = concat(mix, h) [N, pooled_dim].
+    set; a row without candidates forms no query and no mix row.
+    Returns the weights [N, K] and the pair (mix [R, embed_dim], rows [R]):
+    the R rows' mixes and their row numbers, ascending, for
+    `secondary_attention`.
     """
     mix, alpha = nd.affine_attend(h, params[f"{task}/W_w"], params[f"{task}/b_w"], keys, mask)
-    return alpha, nd.concat([mix, h])
+    return alpha, (mix, np.flatnonzero(mask.any(axis=1)))
 
 
 def secondary_attention(
-    hhat: nd.Tensor, params: Mapping[str, nd.Tensor], task: str, lengths=None
+    h: nd.Tensor, params: Mapping[str, nd.Tensor], task: str, lengths=None, mix=None
 ) -> tuple[np.ndarray, nd.Tensor]:
-    """Sentence attention: score each row of `hhat` [N, P] with the task
-    context vector, u · tanh(W_s hhat_t + b_s), normalize the scores within
-    each sequence of the given `lengths` (default: one non-empty sequence),
-    and return the weights [N] with the pooled vectors [B, P]."""
+    """Sentence attention (`nd.affine_pool`): score each row hhat_t =
+    concat(mix_t, h_t) with the task context vector, u · tanh(W_s hhat_t +
+    b_s), normalize the scores within each sequence of the given `lengths`
+    (default: one non-empty sequence), and return the weights [N] with the
+    pooled vectors [B, P]. `mix` is the (mix [R, embed_dim], rows [R]) pair
+    that `primary_attention` returns, read as zero on the other rows; without
+    it hhat_t is the row h_t of `h` [N, P] itself."""
     W_s, b_s, u = (params[f"{task}/{n}"] for n in ("W_s", "b_s", "u"))
-    pooled, alpha = nd.attention_pool(nd.tanh(nd.affine(hhat, W_s, b_s)), u, hhat, lengths)
+    pooled, alpha = nd.affine_pool(h, W_s, b_s, u, lengths, *(mix or ()))
     return alpha, pooled
 
 
@@ -325,11 +332,11 @@ def forward(
             i for ids in candidates if ids for i in list(ids) + [0] * (width - len(ids))
         ])
     for task in config.tasks:
-        hhat = states
+        mix = None
         if config.primary_attention_enabled:
-            alpha, hhat = primary_attention(states, keys, mask, params, task)
+            alpha, mix = primary_attention(states, keys, mask, params, task)
             trace.primary_alpha[task] = [row[:n] for row, n in zip(alpha, counts)]
-        alpha, pooled = secondary_attention(hhat, params, task, lengths)
+        alpha, pooled = secondary_attention(states, params, task, lengths, mix)
         trace.sentence_alpha[task] = alpha
         if task in pooled_masks:
             pooled = nd.mul(pooled, pooled_masks[task])

@@ -3,11 +3,12 @@
 Everything here is deliberately small: 1-D and 2-D arrays, the handful of
 primitives the sequence model needs (among them fused ops for an affine
 layer, masked attention over affine queries formed only for the rows that
-have keys, attention pooling and a bidirectional LSTM, each one tape entry
-for a whole batch of sequences), and a tape that records ops in execution
-order (which is already a topological order) and replays them backwards.
-Ops record on the calling thread only; `bilstm`, the backward passes of
-`affine` and `affine_attend` and `adam_step` may hand half their work to a
+have keys, additive attention pooling that reads a mix only on those rows,
+and a bidirectional LSTM, each one tape entry for a whole batch of
+sequences), and a tape that records ops in execution order (which is
+already a topological order) and replays them backwards. Ops record on
+the calling thread only; `bilstm`, the backward passes of `affine`,
+`affine_attend` and `affine_pool` and `adam_step` may hand half their work to a
 thread started for that hand-off (see `_both`), but each op records one
 entry. One kernel, `_run_directions`, runs `bilstm`'s LSTM directions on
 either schedule: both as one interleaved stack on the calling thread, or
@@ -192,16 +193,6 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, W, b), bwd)
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y)
-
-    def bwd(g):
-        return (g * (1.0 - y * y),)
-
-    return _record(out, (a,), bwd)
-
-
 def sigmoid_values(x) -> np.ndarray:
     """Plain-array logistic function; exp(-|x|) never overflows."""
     x = np.asarray(x, dtype=np.float64)
@@ -218,12 +209,12 @@ def affine_attend(x: Tensor, W: Tensor, b: Tensor, keys: Tensor,
     set entry own K rows of `keys` [R*K, out] each, in row order. Only those
     rows form a query, as one GEMM, score their keys where the mask is set,
     normalize the scores with a max-subtracted softmax and mix the keys with
-    the weights. Every other row mixes in zeros, and masked keys get exactly
-    zero weight and zero gradient. Returns the mix [N, out] and the weights
-    [N, K] as a plain array. The backward pass forms the gradients of W and
-    b and x's rows from the R rows alone, x's other rows get zeros, and its
-    two GEMMs run under the rule of `affine`'s; it forms no key gradient
-    (None) when `keys` needs none.
+    the weights. Every other row has no mix row and zero weights, and masked
+    keys get exactly zero weight and zero gradient. Returns the R rows' mix
+    [R, out], in row order, and the weights [N, K] as a plain array. The
+    backward pass forms the gradients of W and b and x's rows from the R rows
+    alone, x's other rows get zeros, and its two GEMMs run under the rule of
+    `affine`'s; it forms no key gradient (None) when `keys` needs none.
     """
     mask = np.asarray(mask, dtype=bool)
     xd, wd = x.data, W.data
@@ -240,13 +231,12 @@ def affine_attend(x: Tensor, W: Tensor, b: Tensor, keys: Tensor,
     top = np.max(scores, axis=1, keepdims=True, initial=-np.inf, where=set_r)
     e = np.exp(scores - top, out=np.zeros_like(scores), where=set_r)
     w = e / e.sum(axis=1, keepdims=True)
-    weights, mix = np.zeros(mask.shape), np.zeros((xd.shape[0], wd.shape[1]))
+    weights = np.zeros(mask.shape)
     weights[rows] = w
-    mix[rows] = np.matmul(w[:, None, :], k)[:, 0, :]
+    mix = np.matmul(w[:, None, :], k)[:, 0, :]
 
     def bwd(g):
-        g_r = g[rows]
-        d_weights = np.matmul(k, g_r[:, :, None])[:, :, 0]
+        d_weights = np.matmul(k, g[:, :, None])[:, :, 0]
         d_scores = w * (d_weights - (d_weights * w).sum(axis=1, keepdims=True))
         d_q = np.matmul(d_scores[:, None, :], k)[:, 0, :]
         parallel = x.requires_grad and _two_threads(rows.size * wd.size, AFFINE_PARALLEL_MIN_WORK)
@@ -257,7 +247,7 @@ def affine_attend(x: Tensor, W: Tensor, b: Tensor, keys: Tensor,
         d_x[rows] = d_x_r
         if not keys.requires_grad:
             return d_x, d_w, d_q.sum(axis=0), None
-        d_keys = w[:, :, None] * g_r[:, None, :] + d_scores[:, :, None] * q[:, None, :]
+        d_keys = w[:, :, None] * g[:, None, :] + d_scores[:, :, None] * q[:, None, :]
         return d_x, d_w, d_q.sum(axis=0), d_keys.reshape(keys.shape)
 
     return _record(Tensor(mix), (x, W, b, keys), bwd), weights
@@ -273,40 +263,83 @@ def _split_lengths(op: str, lengths, rows: int) -> np.ndarray:
     return lengths
 
 
-def attention_pool(
-    keys: Tensor, context: Tensor, values: Tensor, lengths=None
-) -> tuple[Tensor, np.ndarray]:
-    """Softmax-weighted sum of each segment of rows, row n scored keys[n] · context.
+def affine_pool(h: Tensor, W: Tensor, b: Tensor, u: Tensor, lengths=None,
+                mix: Tensor | None = None, rows=None) -> tuple[Tensor, np.ndarray]:
+    """Additive attention pooling of rows [mix_t ; h_t] per sequence, as one
+    tape entry.
 
-    `lengths` splits the rows of `keys` [N, C] and `values` [N, P] into
-    back-to-back segments (default: one segment of all N). Each segment's
-    scores are normalized with a max-subtracted softmax and its rows of
-    `values` are mixed with those weights. Returns the pooled rows [B, P]
-    as one tape entry and the weights [N] as a plain array.
+    `lengths` splits the N rows of `h` [N, in] into back-to-back sequences
+    (default: one sequence of all N). The R rows listed, ascending, in `rows`
+    carry the R rows of `mix` [R, e]; every other row's mix is zero and never
+    formed, and without `mix` the rows are `h`'s alone (R = e = 0). Row t is
+    scored u · tanh([mix_t ; h_t] @ W + b) for W [e + in, C], b and u [C]:
+    h @ W[e:] + b for every row, plus mix @ W[:e] on the R rows. Each
+    sequence's scores are normalized with a max-subtracted softmax and its
+    rows pooled with those weights as [Σ w·mix | Σ w·h], one [B, R] x [R, e]
+    and one [B, N] x [N, in] product. Returns the pooled rows [B, e + in] and
+    the weights [N] as a plain array. The backward pass forms the gradients
+    of h (also when h needs none; the tape drops it), of mix's R rows, of
+    both halves of W, of b and of u as whole products and reductions, and
+    runs its two GEMM pairs (h's and mix's gradients, W's halves) under the
+    rule of `affine`'s, with rows·in·out counted over h's and mix's rows.
     """
-    fits = keys.data.ndim == 2 and context.data.ndim == 1 and values.data.ndim == 2
-    if not fits or keys.shape[1] != context.size or values.shape[0] != keys.shape[0]:
+    hd, wd = h.data, W.data
+    md = np.zeros((0, 0)) if mix is None else mix.data  # no mix: R = e = 0
+    rows = np.asarray([] if rows is None else rows, dtype=np.intp)
+    fits = (hd.ndim == wd.ndim == md.ndim == 2 and b.shape == u.shape == wd.shape[1:]
+            and rows.shape == md.shape[:1] and (rows.size == 0 or (
+                rows[0] >= 0 and rows[-1] < hd.shape[0] and np.all(np.diff(rows) > 0))))
+    if not fits or wd.shape[0] != md.shape[1] + hd.shape[1]:
         raise ShapeError(
-            "attention_pool: need keys [N, C], context [C] and values [N, P], got "
-            f"{keys.shape}, {context.shape}, {values.shape}"
-        )
-    lengths = _split_lengths("attention_pool", lengths, keys.shape[0])
+            "affine_pool: need h [N, in], W [e + in, C], b [C], u [C] and, for mix [R, e], "
+            f"R ascending rows, got {h.shape}, {W.shape}, {b.shape}, {u.shape}, "
+            f"{None if mix is None else mix.shape}, rows {rows.tolist()}")
+    lengths = _split_lengths("affine_pool", lengths, hd.shape[0])
     starts = np.cumsum(lengths) - lengths
     segment = np.repeat(np.arange(lengths.size), lengths)
-    k, c, v = keys.data, context.data, values.data
-    s = np.dot(k, c)
-    e = np.exp(s - np.maximum.reduceat(s, starts)[segment])
-    weights = e / np.add.reduceat(e, starts)[segment]
-    out = Tensor(np.add.reduceat(weights[:, None] * v, starts, axis=0))
+    e, ud = md.shape[1], u.data
+    w_mix, w_h = wd[:e], wd[e:]
+    a = np.dot(hd, w_h)
+    a += b.data
+    if mix is not None:
+        a[rows] += np.dot(md, w_mix)
+    np.tanh(a, out=a)
+    s = np.dot(a, ud)
+    ex = np.exp(s - np.maximum.reduceat(s, starts)[segment])
+    weights = ex / np.add.reduceat(ex, starts)[segment]
+    spread = np.zeros((lengths.size, hd.shape[0]))
+    spread[segment, np.arange(hd.shape[0])] = weights
+    spread_r = spread[:, rows]
+    pooled = np.dot(spread, hd)
+    if mix is not None:
+        pooled = np.concatenate([np.dot(spread_r, md), pooled], axis=1)
 
     def bwd(g):
-        g_rows = g[segment]
-        d_weights = np.einsum("np,np->n", v, g_rows)
-        centred = d_weights - np.add.reduceat(d_weights * weights, starts)[segment]
-        d_scores = weights * centred
-        return np.outer(d_scores, c), k.T @ d_scores, weights[:, None] * g_rows
+        g_mix, g_h = g[:, :e], g[:, e:]
+        d_weights = np.einsum("np,np->n", hd, g_h[segment])
+        d_weights[rows] += np.einsum("re,re->r", md, g_mix[segment[rows]])
+        d_scores = weights * (d_weights - np.add.reduceat(d_weights * weights, starts)[segment])
+        dz = np.outer(d_scores, ud)
+        dz *= 1.0 - a * a
+        dz_r = dz[rows]
 
-    return _record(out, (keys, context, values), bwd), weights
+        def input_grads():
+            return (np.dot(dz, w_h.T) + np.dot(spread.T, g_h),
+                    np.dot(dz_r, w_mix.T) + np.dot(spread_r.T, g_mix))
+
+        def weight_grads():
+            d_w = np.empty_like(wd)
+            np.matmul(hd.T, dz, out=d_w[e:])
+            np.matmul(md.T, dz_r, out=d_w[:e])
+            return d_w
+
+        work = (hd.size + md.size) * wd.shape[1]
+        (d_h, d_mix), d_w = _both(input_grads, weight_grads,
+                                  h.requires_grad and _two_threads(work, AFFINE_PARALLEL_MIN_WORK))
+        return (d_h, d_w, dz.sum(axis=0), np.dot(a.T, d_scores), d_mix)[: len(inputs)]
+
+    inputs = (h, W, b, u) if mix is None else (h, W, b, u, mix)
+    return _record(Tensor(pooled), inputs, bwd), weights
 
 
 def sigmoid_xent(logits: Tensor, targets: Tensor) -> Tensor:
@@ -338,21 +371,6 @@ def sum(a: Tensor) -> Tensor:
         return (np.full(a.shape, float(g)),)
 
     return _record(out, (a,), bwd)
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join tensors along their last axis: vectors end to end, or matrices
-    with the same row count side by side."""
-    parts = tuple(parts)
-    if not parts or parts[0].data.ndim not in (1, 2) or len({p.shape[:-1] for p in parts}) != 1:
-        raise ShapeError(f"concat: need vectors or equal-height matrices, got {parts}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
-    offsets = np.cumsum([0] + [p.shape[-1] for p in parts])
-
-    def bwd(g):
-        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _record(out, parts, bwd)
 
 
 def take_rows(m: Tensor, indices: Sequence[int]) -> Tensor:

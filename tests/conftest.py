@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,19 +32,39 @@ def small_config(mode="M2", **overrides):
     return ModelConfig(**settings)
 
 
-def corrupt_tanh_backward(monkeypatch):
-    """Swap `nd.tanh` for a stand-in with tanh's value (up to rounding) and
-    1.01 times its gradient: the tape sees 1.01·tanh(a) plus the constant
-    -0.01·tanh(a)."""
+def corrupt_affine_pool_backward(monkeypatch):
+    """Swap `nd.affine_pool` for a stand-in with its values whose tape
+    entry's backward pass gives 1.01 times every gradient."""
+    from emosent import nd
+    from emosent.nd import autodiff
+
+    affine_pool = nd.affine_pool
+
+    def corrupted(*args, **kwargs):
+        pooled, weights = affine_pool(*args, **kwargs)
+        entries = autodiff._tape_stack[-1].entries if autodiff._tape_stack else []
+        if entries and entries[-1].output is pooled:
+            backward = entries[-1].backward
+            entries[-1] = entries[-1]._replace(backward=lambda g: tuple(
+                None if d is None else 1.01 * d for d in backward(g)))
+        return pooled, weights
+
+    monkeypatch.setattr(nd, "affine_pool", corrupted)
+
+
+def near_zero_gradient(loss_fn, params, floor):
+    """The first tensor, by name, whose tape gradient of the loss has a
+    coordinate that is neither exactly zero nor at least `floor` in
+    magnitude, with that coordinate; None when there is none."""
     from emosent import nd
 
-    tanh = nd.tanh
-
-    def corrupted(a):
-        y = tanh(a)
-        return nd.add(nd.scale(y, 1.01), nd.Tensor(-0.01 * y.data))
-
-    monkeypatch.setattr(nd, "tanh", corrupted)
+    with nd.Tape() as tape:
+        loss = loss_fn(params)
+    for name, grad in zip(params, tape.gradients(loss, list(params.values()))):
+        near = np.abs(grad[grad != 0.0])
+        if np.any(near < floor):
+            return f"{name}: a gradient of {near.min():.1e} is near zero"
+    return None
 
 
 def assert_gradients_clear_of_zero(loss_fn, params, floor):
@@ -52,13 +73,48 @@ def assert_gradients_clear_of_zero(loss_fn, params, floor):
     rounding over their step (about 1e-11 at eps 1e-5), so a relative check
     at a coordinate near zero passes or fails by chance; a check whose
     parameters pass this one does not depend on rounding order."""
+    message = near_zero_gradient(loss_fn, params, floor)
+    assert message is None, message
+
+
+# Ragged batches for `nd.affine_pool`: 1-4 sequences of 1-5 rows, each row
+# flagged when it carries a mix (a token with thesaurus candidates), and in
+# `pool_batches` whether the batch passes a mix at all (False: `mix=None`).
+pool_flags = st.lists(st.lists(st.booleans(), min_size=1, max_size=5), min_size=1, max_size=4)
+pool_batches = st.tuples(pool_flags, st.booleans())
+
+
+def pool_inputs(batch, seed, e=2, width=3, context=2, requires_grad=False):
+    """Seeded `nd.affine_pool` operands for a `pool_batches` draw: h [N,
+    width], W [e + width, context] (e = 0 without a mix), b, u, the lengths,
+    and mix [R, e] with its R rows (None, None without a mix)."""
     from emosent import nd
 
-    with nd.Tape() as tape:
-        loss = loss_fn(params)
-    for name, grad in zip(params, tape.gradients(loss, list(params.values()))):
-        near = np.abs(grad[grad != 0.0])
-        assert not np.any(near < floor), f"{name}: a gradient of {near.min():.1e} is near zero"
+    flags, with_mix = batch
+    rng = np.random.default_rng(seed)
+    has_mix = np.array([f for sequence in flags for f in sequence])
+    e = e if with_mix else 0
+
+    def tensor(*shape):
+        return nd.Tensor(rng.normal(size=shape), requires_grad=requires_grad)
+
+    operands = dict(h=tensor(has_mix.size, width), W=tensor(e + width, context),
+                    b=tensor(context), u=tensor(context), lengths=[len(f) for f in flags],
+                    mix=None, rows=None)
+    if with_mix:
+        operands.update(mix=tensor(int(has_mix.sum()), e), rows=np.flatnonzero(has_mix))
+    return operands
+
+
+def pool_rows(operands):
+    """The dense rows [mix_t ; h_t] that `nd.affine_pool` scores and pools,
+    a zero mix on the rows without one."""
+    h, mix = operands["h"].data, operands["mix"]
+    if mix is None:
+        return h
+    dense = np.zeros((h.shape[0], mix.shape[1]))
+    dense[operands["rows"]] = mix.data
+    return np.hstack([dense, h])
 
 
 def gate_weights(params, prefix):

@@ -23,7 +23,7 @@ from emosent.resources import (
 )
 
 from conftest import (
-    FIXTURES, UNPARSABLE_HEADERS, assert_gradients_clear_of_zero, corrupt_tanh_backward,
+    FIXTURES, UNPARSABLE_HEADERS, assert_gradients_clear_of_zero, corrupt_affine_pool_backward,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -536,7 +536,7 @@ class TestGradcheckCommand:
         assert out.count("ok") == 2 and "S1:" in out and "M2:" in out
 
     def test_corrupted_backward_rule_detected(self, capsys, monkeypatch):
-        corrupt_tanh_backward(monkeypatch)
+        corrupt_affine_pool_backward(monkeypatch)
         assert entrypoint(["gradcheck", "--modes", "M2"]) == 1
         assert "failing tensors: " in capsys.readouterr().out
 

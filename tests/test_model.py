@@ -218,11 +218,19 @@ def attention_params(task=TASK_SENTIMENT):
 
 def attend_one(h, candidates, params, task=TASK_SENTIMENT):
     """primary_attention on a length-1 sequence whose token has the given
-    candidate rows, all unmasked."""
+    candidate rows, all unmasked: the weights and the token's hhat."""
     keys = np.asarray(candidates, dtype=np.float64).reshape(-1, 5)
-    return primary_attention(
-        nd.Tensor([h]), nd.Tensor(keys), np.ones((1, len(keys)), bool), params, task
-    )
+    h = nd.Tensor([h])
+    alpha, mix = primary_attention(h, nd.Tensor(keys), np.ones((1, len(keys)), bool), params, task)
+    return alpha, hhat_of_one(h, mix, task)
+
+
+def hhat_of_one(h, mix, task=TASK_SENTIMENT):
+    """hhat = concat(mix, h) [1, 13] of a one-token sequence: the vector that
+    `secondary_attention` pools it to, with its one weight of exactly 1."""
+    alpha, pooled = secondary_attention(h, sentence_params(task, dim=13), task, mix=mix)
+    assert alpha.tolist() == [1.0]
+    return pooled
 
 
 class TestPrimaryAttention:
@@ -265,10 +273,11 @@ class TestPrimaryAttention:
         # No key slots at all, or only masked-out padding slots; either way
         # the token owns no key rows.
         for width in (0, 2):
-            alpha, hhat = primary_attention(
+            alpha, mix = primary_attention(
                 h, nd.Tensor(np.ones((0, 5))), np.zeros((1, width), bool),
                 params, TASK_SENTIMENT,
             )
+            hhat = hhat_of_one(h, mix)
             np.testing.assert_array_equal(alpha, np.zeros((1, width)))
             np.testing.assert_array_equal(hhat.data[0, :5], np.zeros(5))
             np.testing.assert_array_equal(hhat.data[0, 5:], h.data[0])
@@ -621,14 +630,15 @@ def word_attention_batch(tweets, bare=False):
 
 
 def forward_seeing_word_attention(examples, params, config):
-    """`forward`'s trace, and per task the states [N, 2H] and hhat
-    [N, pooled_dim] that `primary_attention` took and gave."""
+    """`forward`'s trace, and per task the states [N, 2H] that
+    `primary_attention` took and the mix [embed_dim] it gave each row that
+    has one, by row."""
     seen = {}
 
     def recording(h, keys, mask, p, task):
-        alpha, hhat = primary_attention(h, keys, mask, p, task)
-        seen[task] = (h.data, hhat.data)
-        return alpha, hhat
+        alpha, (mix, rows) = primary_attention(h, keys, mask, p, task)
+        seen[task] = (h.data, dict(zip(rows.tolist(), mix.data)))
+        return alpha, (mix, rows)
 
     with mock.patch("emosent.model.primary_attention", recording):
         trace = forward(examples, params, config)
@@ -653,14 +663,15 @@ class TestWordAttentionEdges:
         candidates = [ids for ex in examples for ids in ex.candidate_ids]
         embedding = params["embedding"].data
         for task in config.tasks:
-            states, hhat = seen[task]
+            states, mixes = seen[task]
             W_w, b_w = (params[f"{task}/{n}"].data.tolist() for n in ("W_w", "b_w"))
             for t, ids in enumerate(candidates):
-                alpha, mix = trace.primary_alpha[task][t], hhat[t, : config.embed_dim]
+                alpha = trace.primary_alpha[task][t]
                 if not ids:
                     assert alpha.shape == (0,)
-                    assert np.array_equal(mix, np.zeros(config.embed_dim))
+                    assert t not in mixes
                     continue
+                mix = mixes[t]
                 want_alpha, want_mix = primary_attention_loops(
                     states[t].tolist(), W_w, b_w, embedding[ids].tolist()
                 )
@@ -678,6 +689,11 @@ class TestWordAttentionEdges:
                 assert np.abs(alpha - single.sentence_alpha[task]).max() <= 1e-12
                 logits = trace.logits[task].data[b]
                 assert np.abs(logits - single.logits[task].data[0]).max() <= 1e-12
+                # The mix half of hhat is exactly 0 on every token without
+                # candidates, so a tweet without any pools a zero mix.
+                if not any(ex.candidate_ids):
+                    pooled_mix = trace.sentence_vector[task].data[b, : config.embed_dim]
+                    assert np.array_equal(pooled_mix, np.zeros(config.embed_dim))
             start = stop
 
     @given(mode=st.sampled_from(WORD_ATTENTION_MODES), tweets=ragged_batches,

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emosent import nd
 from emosent.nd import autodiff
 
 from emosent.nd.adam import BLOCK
+from conftest import pool_batches, pool_flags, pool_inputs, pool_rows
 from oracles import (
-    adam_step_per_tensor, dropout_mask, sigmoid_by_sign, sigmoid_xent_highprec, softmax_list,
+    adam_step_per_tensor, dropout_mask, secondary_attention_loops, sigmoid_by_sign,
+    sigmoid_xent_highprec, softmax_list,
 )
 
 finite_vectors = st.lists(
@@ -109,17 +111,32 @@ class TestBatchInvariance:
                 start += n
 
 
+def pool_scores(scores, values=None, lengths=None):
+    """`nd.affine_pool` scoring row n exactly `scores[n]`: h is the identity
+    and W = 40·I, so tanh(z) is row n of I (tanh(40) rounds to 1.0), and u =
+    `scores`. `values` [N, ·], when given, is every row's mix, so the pooled
+    mix half is their weighted sum."""
+    n = len(scores)
+    e, mix, rows = 0, None, None
+    if values is not None:
+        e, mix, rows = np.shape(values)[1], nd.Tensor(values), np.arange(n)
+    w = np.vstack([np.zeros((e, n)), 40.0 * np.eye(n)])
+    return nd.affine_pool(nd.Tensor(np.eye(n)), nd.Tensor(w), nd.Tensor(np.zeros(n)),
+                          nd.Tensor(scores), lengths, mix, rows)
+
+
 class TestAttentionPool:
+    """`nd.affine_pool`: additive attention pooling of rows [mix_t ; h_t]."""
+
     def test_segments_match_softmax_over_their_own_rows(self):
         rng = np.random.default_rng(6)
         scores, values = rng.normal(size=5), rng.normal(size=(5, 3))
-        pooled, weights = nd.attention_pool(
-            nd.Tensor(scores[:, None]), nd.Tensor([1.0]), nd.Tensor(values), [2, 3]
-        )
+        pooled, weights = pool_scores(scores, values, [2, 3])
         for row, seg in enumerate((slice(0, 2), slice(2, 5))):
             alpha = softmax_list(scores[seg].tolist())
             np.testing.assert_allclose(weights[seg], alpha, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(pooled.data[row], np.dot(alpha, values[seg]), atol=1e-15)
+            np.testing.assert_allclose(pooled.data[row, :3], np.dot(alpha, values[seg]),
+                                       atol=1e-15)
 
     @pytest.mark.parametrize(
         "scores,values,lengths",
@@ -131,14 +148,62 @@ class TestAttentionPool:
         ],
     )
     def test_mismatched_operands_rejected(self, scores, values, lengths):
-        keys = nd.Tensor(np.ones(scores)[:, None])
-        with pytest.raises(nd.ShapeError, match="attention_pool"):
-            nd.attention_pool(keys, nd.Tensor([1.0]), nd.Tensor(np.ones(values)), lengths)
+        # h has the shape `values`, and each score is a mix row on h's first
+        # rows: one past h's last row does not fit.
+        h, w, b, u = (nd.Tensor(np.ones(s)) for s in (values, (4, 1), (1,), (1,)))
+        mix = nd.Tensor(np.ones((scores[0], 2)))
+        with pytest.raises(nd.ShapeError, match="affine_pool"):
+            nd.affine_pool(h, w, b, u, lengths, mix, np.arange(scores[0]))
 
     def test_wrong_shaped_context_rejected(self):
-        keys, context, values = (nd.Tensor(np.ones(s)) for s in ((3, 2), (3,), (3, 2)))
-        with pytest.raises(nd.ShapeError, match=r"attention_pool: .*\(3, 2\), \(3,\), \(3, 2\)"):
-            nd.attention_pool(keys, context, values)
+        h, w, b, u = (nd.Tensor(np.ones(s)) for s in ((3, 2), (2, 2), (2,), (3,)))
+        shapes = r"affine_pool: .*\(3, 2\), \(2, 2\), \(2,\), \(3,\)"
+        with pytest.raises(nd.ShapeError, match=shapes):
+            nd.affine_pool(h, w, b, u)
+
+    @pytest.mark.parametrize("rows", [[1, 0], [0, 0], [-1, 1], None])
+    def test_mix_rows_must_ascend_within_h(self, rows):
+        h, w, b, u = (nd.Tensor(np.ones(s)) for s in ((3, 2), (4, 1), (1,), (1,)))
+        with pytest.raises(nd.ShapeError, match="affine_pool"):
+            nd.affine_pool(h, w, b, u, mix=nd.Tensor(np.ones((2, 2))), rows=rows)
+
+    @given(batch=pool_batches, seed=st.integers(0, 2**16))
+    @example(batch=([[True]], True), seed=0)
+    @example(batch=([[False, False], [False]], True), seed=1)
+    @example(batch=([[True, False, True], [False], [False, True]], True), seed=2)
+    @example(batch=([[False, True, False]], False), seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_oracle_on_ragged_batches(self, batch, seed):
+        operands = pool_inputs(batch, seed)
+        pooled, weights = nd.affine_pool(**operands)
+        dense = pool_rows(operands)
+        w, b, u = (operands[n].data.tolist() for n in ("W", "b", "u"))
+        start = 0
+        for row, n in enumerate(operands["lengths"]):
+            alpha, want = secondary_attention_loops(dense[start : start + n].tolist(), w, b, u)
+            assert np.abs(weights[start : start + n] - alpha).max() <= 1e-12
+            assert np.abs(pooled.data[row] - want).max() <= 1e-12
+            start += n
+
+    @given(flags=pool_flags, seed=st.integers(0, 2**16))
+    @example(flags=[[False]], seed=0)
+    @example(flags=[[False, False], [True], [False]], seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_without_mix_add_nothing(self, flags, seed):
+        # A sequence none of whose rows has a mix pools an exactly zero mix
+        # half, and a loss on such sequences alone reaches neither the mix
+        # nor W's mix rows, W[:e]: their gradients are exactly 0.
+        operands = pool_inputs((flags, True), seed, requires_grad=True)
+        bare = np.array([not any(sequence) for sequence in flags])
+        probe = np.random.default_rng(seed).normal(size=(len(flags), 2 + 3))
+        probe[~bare] = 0.0
+        with nd.Tape() as tape:
+            pooled, _ = nd.affine_pool(**operands)
+            loss = nd.sum(nd.mul(pooled, nd.Tensor(probe)))
+        assert np.array_equal(pooled.data[bare, :2], np.zeros((bare.sum(), 2)))
+        grad_w, grad_mix = tape.gradients(loss, [operands["W"], operands["mix"]])
+        assert np.array_equal(grad_w[:2], np.zeros((2, 2)))
+        assert np.array_equal(grad_mix, np.zeros(operands["mix"].shape))
 
 
 def attend_identity(x, keys, mask):
@@ -166,9 +231,10 @@ class TestAttend:
 
     @pytest.mark.parametrize("width", [0, 2])
     def test_row_without_keys_mixes_zeros(self, width):
-        # The row owns no key rows, whatever the mask's width.
+        # The row owns no key rows, whatever the mask's width, and has no mix
+        # row: `nd.affine_pool` reads its mix as zeros.
         mix, weights = attend_identity(np.ones((1, 3)), np.ones((0, 3)), np.zeros((1, width), bool))
-        np.testing.assert_array_equal(mix.data, np.zeros((1, 3)))
+        np.testing.assert_array_equal(mix.data, np.zeros((0, 3)))
         np.testing.assert_array_equal(weights, np.zeros((1, width)))
 
     def test_rows_with_keys_own_them_in_row_order(self):
@@ -178,9 +244,9 @@ class TestAttend:
         mix, weights = attend_identity(q, k, mask)
         alone = [attend_identity(q[[t]], k[2 * r : 2 * r + 2], mask[[t]])
                  for r, t in enumerate((1, 3))]
-        np.testing.assert_array_equal(mix.data[[1, 3]], [m.data[0] for m, _ in alone])
+        # Rows 0 and 2 have no mix row: the mix holds rows 1 and 3, in order.
+        np.testing.assert_array_equal(mix.data, [m.data[0] for m, _ in alone])
         np.testing.assert_array_equal(weights[[1, 3]], [w[0] for _, w in alone])
-        np.testing.assert_array_equal(mix.data[[0, 2]], 0.0)
         np.testing.assert_array_equal(weights[[0, 2]], 0.0)
 
     def test_rows_without_keys_are_never_read(self):
@@ -194,7 +260,7 @@ class TestAttend:
                   for v in (x, rng.normal(size=(5, 3)), rng.normal(size=3), rng.normal(size=(4, 3)))]
         with nd.Tape() as tape:
             mix, weights = nd.affine_attend(*inputs, mask)
-        d_x, d_w, d_b, d_keys = tape.entries[0].backward(rng.normal(size=(4, 3)))
+        d_x, d_w, d_b, d_keys = tape.entries[0].backward(rng.normal(size=(2, 3)))
         for name, a in [("mix", mix.data), ("weights", weights), ("d_W", d_w), ("d_b", d_b),
                         ("d_keys", d_keys), ("d_x rows with keys", d_x[[0, 2]])]:
             assert np.all(np.isfinite(a)), name
@@ -228,22 +294,14 @@ class TestAffineConcatShapes:
         with pytest.raises(nd.ShapeError, match="affine"):
             nd.affine(*(nd.Tensor(np.ones(s)) for s in (x, W, b)))
 
-    @pytest.mark.parametrize("shapes", [[], [(2, 3), (3, 3)], [(2,), (2, 2)]])
-    def test_concat_mismatch_rejected(self, shapes):
-        with pytest.raises(nd.ShapeError, match="concat"):
-            nd.concat([nd.Tensor(np.ones(s)) for s in shapes])
-
 
 class TestSoftmax:
-    """The max-subtracted softmax that `nd.attention_pool` normalizes each
+    """The max-subtracted softmax that `nd.affine_pool` normalizes each
     segment's scores with, read from the weights of one segment."""
 
     @staticmethod
     def softmax(scores):
-        scores = np.asarray(scores, dtype=np.float64)
-        _, weights = nd.attention_pool(
-            nd.Tensor(scores[:, None]), nd.Tensor([1.0]), nd.Tensor(np.ones((scores.size, 1)))
-        )
+        _, weights = pool_scores(np.asarray(scores, dtype=np.float64))
         return weights
 
     def test_symmetry(self):

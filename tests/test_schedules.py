@@ -1,9 +1,9 @@
 """`nd.bilstm` gives bit-identical results on either schedule: its two
 directions one after the other on the calling thread, or the forward one on
-a second thread at the same time. So do the backward passes of `nd.affine`
-and `nd.affine_attend`, `nd.adam_step`, and a whole training run. On both, a
-frozen input of `nd.bilstm` or `nd.affine_attend` gets no gradient and
-changes no other one. The schedule follows one rule
+a second thread at the same time. So do the backward passes of `nd.affine`,
+`nd.affine_attend` and `nd.affine_pool`, `nd.adam_step`, and a whole
+training run. On both, a frozen input of `nd.bilstm` or `nd.affine_attend`
+gets no gradient and changes no other one. The schedule follows one rule
 (`autodiff._two_threads`), which keeps everything serial under
 multi-threaded BLAS."""
 import multiprocessing
@@ -219,16 +219,17 @@ def frozen_input_gradients(xs_trainable, keys_trainable, hidden=8, seed=1):
     inputs["keys"] = tensor(with_keys * k, 2 * hidden, trainable=keys_trainable)
     W, b = tensor(2 * hidden, 2 * hidden, trainable=False), tensor(2 * hidden, trainable=False)
     probe = nd.Tensor(rng.normal(size=(rows, 2 * hidden)))
+    mix_probe = nd.Tensor(probe.data[mask.any(axis=1)])
     fw, bw = ([inputs[f"{d}/{n}"] for n in "WUb"] for d in ("fw", "bw"))
     with nd.Tape() as tape:
         states = nd.bilstm(inputs["xs"], fw, bw, LENGTHS)
         mix, _ = nd.affine_attend(states, W, b, inputs["keys"], mask)
-        loss = nd.sum(nd.mul(nd.add(states, mix), probe))
+        loss = nd.add(nd.sum(nd.mul(states, probe)), nd.sum(nd.mul(mix, mix_probe)))
     names = [name for name, t in inputs.items() if t.requires_grad]
     grads = dict(zip(names, tape.gradients(loss, [inputs[n] for n in names])))
     bilstm_entry, attend_entry = tape.entries[:2]
     d_xs = bilstm_entry.backward(probe.data)[0]
-    d_keys = attend_entry.backward(probe.data)[3]
+    d_keys = attend_entry.backward(mix_probe.data)[3]
     return grads, d_xs, d_keys
 
 
@@ -348,7 +349,7 @@ def test_affine_attend_gradients_match(x_trainable, monkeypatch):
     W = nd.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     b = nd.Tensor(rng.normal(size=3), requires_grad=True)
     keys = nd.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    g = rng.normal(size=(4, 3))
+    g = rng.normal(size=(3, 3))
     results = {}
     for parallel in (False, True):
         force_every_schedule(monkeypatch, parallel)
@@ -361,10 +362,28 @@ def test_affine_attend_gradients_match(x_trainable, monkeypatch):
         assert np.array_equal(serial, threaded)
 
 
+@pytest.mark.parametrize("h_trainable", [True, False])
+def test_affine_pool_gradients_match(h_trainable, monkeypatch):
+    rng = np.random.default_rng(8)
+    h = nd.Tensor(rng.normal(size=(7, 5)), requires_grad=h_trainable)
+    mix = nd.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    W, b, u = (nd.Tensor(rng.normal(size=s), requires_grad=True) for s in ((7, 4), (4,), (4,)))
+    g = rng.normal(size=(3, 7))
+    results = {}
+    for parallel in (False, True):
+        force_every_schedule(monkeypatch, parallel)
+        flags = record_schedules(monkeypatch)
+        with nd.Tape() as tape:
+            nd.affine_pool(h, W, b, u, [3, 1, 3], mix, [0, 4, 6])
+        results[parallel] = as_bytes(dict(enumerate(tape.entries[0].backward(g))))
+        assert flags == [parallel and h_trainable]
+    assert results[False] == results[True]
+
+
 def wide_config():
     """H = 128 and a context width that takes a 32-tweet fixture batch's
-    sentence-attention affine past AFFINE_PARALLEL_MIN_WORK: every op with a
-    two-thread schedule crosses its floor."""
+    sentence attention (`nd.affine_pool`) past AFFINE_PARALLEL_MIN_WORK:
+    every op with a two-thread schedule crosses its floor."""
     return small_config("M2", lstm_hidden=128, context_dim=1024, dropout_rate=0.2)
 
 
