@@ -63,11 +63,15 @@ def _ensure_out_dir(cfg: RunConfig) -> Path:
 
 
 def _staged(stage: str, fn, *args, **kwargs):
-    """Run one pipeline stage; a failure names the stage and its cause."""
+    """Run one pipeline stage; a failure (a bad value, or an array too large
+    to allocate) names the stage and its cause. numpy's overflow and
+    invalid-value warnings are off meanwhile, on the calling thread: a stage
+    names a non-finite loss, gradient or logit itself."""
     try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{stage}: {exc}") from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{stage}: {str(exc) or type(exc).__name__}") from None
 
 
 def _load_optional(cfg: RunConfig, key: str, cls):
@@ -141,7 +145,8 @@ def cmd_train(args) -> int:
         eval_examples = encode_corpus(test_corpus, vocab, thesaurus, model_cfg.dt_k)
     else:
         eval_examples = train_examples
-    params = init_parameters(model_cfg, embedding_rows=rows, seed=train_cfg.seed)
+    params = _staged("model", init_parameters, model_cfg, embedding_rows=rows,
+                     seed=train_cfg.seed)
     params, log = _staged("train", train_model, train_examples, params, train_cfg, model_cfg)
     report = _staged("evaluate", evaluate, eval_examples, params, model_cfg,
                      threshold=cfg.threshold, seed=train_cfg.seed, epoch=len(log))
@@ -167,8 +172,8 @@ def cmd_evaluate(args) -> int:
     corpus = _staged("corpus.test", load_corpus, cfg.corpus_test)
     examples = encode_corpus(corpus, ckpt.vocab, ckpt.thesaurus, ckpt.config.dt_k)
     report = _staged("evaluate", evaluate, examples, ckpt.params, ckpt.config,
-                     threshold=cfg.threshold, seed=ckpt.meta.get("seed", 0),
-                     epoch=ckpt.meta.get("epochs", 0))
+                     threshold=ckpt.meta.get("threshold", EMOTION_THRESHOLD),
+                     seed=ckpt.meta.get("seed", 0), epoch=ckpt.meta.get("epochs", 0))
     out_dir = _ensure_out_dir(cfg)
     write_report(report, out_dir / "eval_metrics.txt")
     print(render_table(report))

@@ -7,12 +7,12 @@ have keys, additive attention pooling that reads a mix only on those rows,
 and a bidirectional LSTM, each one tape entry for a whole batch of
 sequences), and a tape that records ops in execution order (which is
 already a topological order) and replays them backwards. Ops record on
-the calling thread only; `bilstm`, the backward passes of `affine`,
-`affine_attend` and `affine_pool` and `adam_step` may hand half their work to a
-thread started for that hand-off (see `_both`), but each op records one
-entry. One kernel, `_run_directions`, runs `bilstm`'s LSTM directions on
-either schedule: both as one interleaved stack on the calling thread, or
-one per thread.
+the calling thread only; `bilstm`, the backward passes of `affine_attend`
+and `affine_pool` and `adam_step` may hand half their work to a thread
+started for that hand-off (see `_both`), but each op records one entry.
+One kernel, `_run_directions`, runs `bilstm`'s LSTM directions on either
+schedule: both as one interleaved stack on the calling thread, or one per
+thread.
 """
 from __future__ import annotations
 
@@ -171,11 +171,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W + b for each row of a matrix x [N, in], as one tape entry.
 
-    When x needs a gradient and rows·in·out is at least
-    AFFINE_PARALLEL_MIN_WORK, the backward pass forms g @ W.T on a second
-    thread while the calling thread forms x.T @ g, under the rule of
-    `_two_threads`. Both are the same GEMMs on either schedule, written into
-    arrays the calling thread allocated, so the results are bit-identical.
     x's gradient is formed even when x needs none; the tape drops it.
     """
     if x.data.ndim != 2 or W.data.ndim != 2 or (x.shape[1], *b.shape) != W.shape:
@@ -184,11 +179,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.dot(xd, wd) + b.data)
 
     def bwd(g):
-        work = xd.shape[0] * wd.size
-        parallel = x.requires_grad and _two_threads(work, AFFINE_PARALLEL_MIN_WORK)
-        d_x, d_w = np.empty_like(xd), np.empty_like(wd)
-        _both(lambda: np.matmul(g, wd.T, out=d_x), lambda: np.matmul(xd.T, g, out=d_w), parallel)
-        return d_x, d_w, g.sum(axis=0)
+        return np.matmul(g, wd.T), np.matmul(xd.T, g), g.sum(axis=0)
 
     return _record(out, (x, W, b), bwd)
 
@@ -213,8 +204,9 @@ def affine_attend(x: Tensor, W: Tensor, b: Tensor, keys: Tensor,
     keys get exactly zero weight and zero gradient. Returns the R rows' mix
     [R, out], in row order, and the weights [N, K] as a plain array. The
     backward pass forms the gradients of W and b and x's rows from the R rows
-    alone, x's other rows get zeros, and its two GEMMs run under the rule of
-    `affine`'s; it forms no key gradient (None) when `keys` needs none.
+    alone, x's other rows get zeros, and its two GEMMs follow `_two_threads`
+    at AFFINE_PARALLEL_MIN_WORK; it forms no key gradient (None) when `keys`
+    needs none.
     """
     mask = np.asarray(mask, dtype=bool)
     xd, wd = x.data, W.data
@@ -280,8 +272,8 @@ def affine_pool(h: Tensor, W: Tensor, b: Tensor, u: Tensor, lengths=None,
     the weights [N] as a plain array. The backward pass forms the gradients
     of h (also when h needs none; the tape drops it), of mix's R rows, of
     both halves of W, of b and of u as whole products and reductions, and
-    runs its two GEMM pairs (h's and mix's gradients, W's halves) under the
-    rule of `affine`'s, with rows·in·out counted over h's and mix's rows.
+    runs its two GEMM pairs (h's and mix's gradients, W's halves) under
+    `_two_threads` at AFFINE_PARALLEL_MIN_WORK, counting h's and mix's rows.
     """
     hd, wd = h.data, W.data
     md = np.zeros((0, 0)) if mix is None else mix.data  # no mix: R = e = 0
@@ -553,9 +545,10 @@ def _run_directions(x_all, stack, prev, blocks, h):
 # 48-tweet forward 113 against 57 ms.
 PARALLEL_MIN_HIDDEN = 128
 
-# Smallest rows·in·out at which `affine`'s backward forms its two GEMMs on
-# two threads. Below it the hand-off to a second thread costs more than the
-# second core saves. One backward pass, single-thread BLAS, 2-vCPU x86 host,
+# Smallest rows·in·out at which `affine_attend`'s and `affine_pool`'s backward
+# passes form their GEMMs on two threads; below it the hand-off costs more
+# than the second core saves. Measured on `affine`'s former two-thread backward
+# at these ops' projection shapes; single-thread BLAS, 2-vCPU x86 host,
 # median of 41, serial -> two threads: rows·in·out 1.3e5 30 -> 180 us,
 # 2.1e6 300 -> 420 us, 4e6 to 1.8e7 either side of even from run to run,
 # 4.05e7 (300x900x150) 6.1 -> 4.7 ms, 5.4e7 (300x600x300) 7.2 -> 5.1 ms.

@@ -32,6 +32,33 @@ def small_config(mode="M2", **overrides):
     return ModelConfig(**settings)
 
 
+def write_config(path, out_dir, **overrides):
+    """A fixture-corpus run config at `path`, `overrides` by key; a None
+    value leaves its key out."""
+    settings = {
+        "corpus.train": FIXTURES / "corpus_train.tsv",
+        "corpus.test": FIXTURES / "corpus_test.tsv",
+        "embeddings": FIXTURES / "embeddings.txt",
+        "thesaurus": FIXTURES / "thesaurus.tsv",
+        "lexicon": FIXTURES / "lexicon.txt",
+        "out_dir": out_dir,
+        "mode": "M2",
+        "embed_dim": 16,
+        "lstm_hidden": 8,
+        "context_dim": 4,
+        "dt_k": 4,
+        "dropout": 0.0,
+        "batch_size": 8,
+        "lr": 0.01,
+        "epochs": 60,
+        "seed": 0,
+    }
+    settings.update(overrides)
+    lines = [f"{key} = {value}" for key, value in settings.items() if value is not None]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def corrupt_affine_pool_backward(monkeypatch):
     """Swap `nd.affine_pool` for a stand-in with its values whose tape
     entry's backward pass gives 1.01 times every gradient."""

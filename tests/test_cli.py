@@ -24,6 +24,7 @@ from emosent.resources import (
 
 from conftest import (
     FIXTURES, UNPARSABLE_HEADERS, assert_gradients_clear_of_zero, corrupt_affine_pool_backward,
+    write_config,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,31 +39,6 @@ def run_cli(*args, **env):
         env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True,
         timeout=300,
     )
-
-
-def write_config(path, out_dir, **overrides):
-    settings = {
-        "corpus.train": FIXTURES / "corpus_train.tsv",
-        "corpus.test": FIXTURES / "corpus_test.tsv",
-        "embeddings": FIXTURES / "embeddings.txt",
-        "thesaurus": FIXTURES / "thesaurus.tsv",
-        "lexicon": FIXTURES / "lexicon.txt",
-        "out_dir": out_dir,
-        "mode": "M2",
-        "embed_dim": 16,
-        "lstm_hidden": 8,
-        "context_dim": 4,
-        "dt_k": 4,
-        "dropout": 0.0,
-        "batch_size": 8,
-        "lr": 0.01,
-        "epochs": 60,
-        "seed": 0,
-    }
-    settings.update(overrides)
-    lines = [f"{key} = {value}" for key, value in settings.items() if value is not None]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +141,23 @@ class TestTrainCommand:
         config = write_config(tmp_path / "run.cfg", tmp_path / "out", epochs=1)
         assert entrypoint(["train", "--config", str(config)]) == 2
         assert "epoch 1, batch 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("message, named", [
+        ("Unable to allocate 119. GiB for an array", "Unable to allocate 119. GiB for an array"),
+        ("", "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_model_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                 message, named):
+        # Raised by a stand-in: a real allocation may be granted by a host
+        # that overcommits.
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "init_parameters", too_large)
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", epochs=1)
+        assert entrypoint(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: model: {named}\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_embeddings_key(self, tmp_path, capsys):
@@ -470,6 +463,17 @@ class TestEvaluateCommand:
         text = (tmp_path / "out" / "eval_metrics.txt").read_text(encoding="utf-8")
         report = parse_metrics(text)
         assert (report.seed, report.epoch) == (5, 3)
+
+    def test_scores_at_the_checkpoints_threshold(self, tmp_path):
+        for threshold in (0.5, 0.3):
+            config = write_config(tmp_path / "run.cfg", tmp_path / str(threshold),
+                                  threshold=threshold)
+            assert entrypoint(["train", "--config", str(config)]) == 0
+        trained_at = {t: (tmp_path / str(t) / "metrics.txt").read_bytes() for t in (0.5, 0.3)}
+        assert trained_at[0.3] != trained_at[0.5]
+        config = write_config(tmp_path / "run.cfg", tmp_path / "0.3", threshold=0.5)
+        assert entrypoint(["evaluate", "--config", str(config)]) == 0
+        assert (tmp_path / "0.3" / "eval_metrics.txt").read_bytes() == trained_at[0.3]
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.cfg", tmp_path / "out")
