@@ -65,8 +65,8 @@ def _ensure_out_dir(cfg: RunConfig) -> Path:
 def _staged(stage: str, fn, *args, **kwargs):
     """Run one pipeline stage; a failure (a bad value, or an array too large
     to allocate) names the stage and its cause. numpy's overflow and
-    invalid-value warnings are off meanwhile, on the calling thread: a stage
-    names a non-finite loss, gradient or logit itself."""
+    invalid-value warnings are off meanwhile, also on `nd`'s hand-off
+    threads: a stage names a non-finite loss, gradient or logit itself."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return fn(*args, **kwargs)
@@ -182,11 +182,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = _load_checkpoint(args.checkpoint)
-    if not args.text.strip():
-        raise ConfigError("empty input text; pass the message to classify")
     tokens = normalize(args.text, ckpt.lexicon)
     if not tokens:
-        raise ConfigError("input text produced no tokens")
+        raise ConfigError("empty input text; pass the message to classify")
     unlabeled = Example("input", tokens, OTHER_SENTIMENT, tuple(0 for _ in EMOTIONS))
     example = encode_example(unlabeled, ckpt.vocab, ckpt.thesaurus, ckpt.config.dt_k)
     threshold = ckpt.meta.get("threshold", EMOTION_THRESHOLD)

@@ -9,13 +9,16 @@ sequences), and a tape that records ops in execution order (which is
 already a topological order) and replays them backwards. Ops record on
 the calling thread only; `bilstm`, the backward passes of `affine_attend`
 and `affine_pool` and `adam_step` may hand half their work to a thread
-started for that hand-off (see `_both`), but each op records one entry.
-One kernel, `_run_directions`, runs `bilstm`'s LSTM directions on either
-schedule: both as one interleaved stack on the calling thread, or one per
-thread.
+started for that hand-off (see `_both`), in the caller's context, but each
+op records one entry. One kernel, `_run_directions`, runs `bilstm`'s LSTM
+directions on either schedule: both as one interleaved stack on the
+calling thread, or one per thread. `bilstm_batch_invariant` probes, at the
+GEMM row counts its caller names, whether `bilstm` gives a sequence the
+same states alone and in a batch.
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import itertools
@@ -54,10 +57,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -610,17 +609,14 @@ def _run_directions_in_parallel(hidden: int) -> bool:
     return _two_threads(hidden, PARALLEL_MIN_HIDDEN)
 
 
-# `bilstm_batch_invariant` checks every GEMM row count from 2 to this, the
-# most sequences `train.evaluate` encodes at once, then a ladder of counts
-# up to its row bound; each count at every offset of PROBE_OFFSETS.
-PROBE_ROWS = 64
 PROBE_OFFSETS = (0, 1, 5)
 
 
-def bilstm_batch_invariant(in_dim: int, hidden: int, rows: int) -> bool:
+def bilstm_batch_invariant(in_dim: int, hidden: int, batches: Sequence[int],
+                           rows: Sequence[int]) -> bool:
     """Whether `bilstm` gives a sequence the same states, bit for bit, alone
-    and in any batch of up to `rows` rows, under the current BLAS thread
-    count and schedule; probed once per shape, row bound, thread count and
+    and in batches of the given row counts, under the current BLAS thread
+    count and schedule; probed once per shape, count set, thread count and
     stack depth.
 
     `bilstm` forms its products as GEMMs of two or more rows (see
@@ -634,43 +630,44 @@ def bilstm_batch_invariant(in_dim: int, hidden: int, rows: int) -> bool:
     OpenBLAS does at the LSTM shapes, but not at every shape (at 600 x 300 a
     row's bits change with the row count), so the property is probed rather
     than assumed (He and Thinking Machines Lab, "Defeating Nondeterminism in
-    LLM Inference", 2025).
+    LLM Inference", 2025), at exactly the counts the caller runs: each of
+    `batches`, a batch's input projection from a fresh gather, at offset 0
+    only, and each of `rows`, a lone sequence's projection or a step's, at
+    every offset of PROBE_OFFSETS. Every count is at least 2.
     """
-    bound = max(PROBE_ROWS, 1 << (rows - 1).bit_length())
     threads = _blas_threads()
     depth = 1 if _run_directions_in_parallel(hidden) else 2
-    return _rows_invariant(in_dim, 4 * hidden, bound, threads, 1) and _rows_invariant(
-        hidden, 4 * hidden, bound, threads, depth
-    )
+    batches, rows = frozenset(batches), frozenset(rows)
+    return (_rows_invariant(in_dim, 4 * hidden, batches, (0,), threads, 1)
+            and _rows_invariant(in_dim, 4 * hidden, rows, PROBE_OFFSETS, threads, 1)
+            and _rows_invariant(hidden, 4 * hidden, rows, PROBE_OFFSETS, threads, depth))
 
 
 @functools.cache
-def _rows_invariant(inner: int, cols: int, bound: int, threads: int | None, depth: int) -> bool:
+def _rows_invariant(inner: int, cols: int, counts: frozenset[int], offsets: tuple[int, ...],
+                    threads: int | None, depth: int) -> bool:
     """Whether the rows of [m, inner] x [inner, cols] GEMMs equal the same
-    rows of one larger GEMM: every m from 2 to PROBE_ROWS and a ladder of m
-    up to `bound`, at each of PROBE_OFFSETS. The rows are read in place from
-    a [rows, depth, inner] slab at each of its `depth` places, as
-    `_run_directions` reads a stack's states. `threads`, the BLAS thread
-    count, keys the cache."""
+    rows of one larger GEMM, for each m of `counts` at each of `offsets`. The
+    rows are read in place from a [rows, depth, inner] slab at each of its
+    `depth` places, as `_run_directions` reads a stack's states. `threads`,
+    the BLAS thread count, keys the cache."""
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((bound + max(PROBE_OFFSETS), inner))
+    a = rng.standard_normal((max(counts) + max(PROBE_OFFSETS), inner))
     b = rng.standard_normal((inner, cols))
     reference = np.dot(a, b)
     slab = np.repeat(a[:, None], depth, axis=1)
-    counts = list(range(2, PROBE_ROWS + 1))
-    while counts[-1] < bound:
-        counts.append(min(bound, counts[-1] * 3 // 2))
     return all(
         np.array_equal(np.dot(slab[offset : offset + m, d], b), reference[offset : offset + m])
         for m in counts
-        for offset in PROBE_OFFSETS
+        for offset in offsets
         for d in range(depth)
     )
 
 
 def _both(first: Callable, second: Callable, parallel: bool) -> tuple:
     """(first(), second()); in parallel, `first` runs on a new thread, joined
-    before this returns or raises, while the calling thread runs `second`. If
+    before this returns or raises, in a copy of the caller's context (so
+    under its `np.errstate`), while the calling thread runs `second`. If
     both fail, `first`'s error is raised with `second`'s as its context."""
     if not parallel:
         return first(), second()
@@ -682,7 +679,7 @@ def _both(first: Callable, second: Callable, parallel: bool) -> tuple:
         except BaseException as exc:  # raised again on the calling thread
             done["error"] = exc
 
-    worker = threading.Thread(target=run, name="nd-half")
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,), name="nd-half")
     worker.start()
     try:
         other = second()
@@ -712,8 +709,8 @@ def bilstm(xs: Tensor, fw: Sequence[Tensor], bw: Sequence[Tensor], lengths=None)
     GEMMs are skipped, when `xs` needs no gradient.
 
     Every product is a GEMM of two or more rows, a one-row one run as the top
-    row of a two-row GEMM, so when `bilstm_batch_invariant` holds a sequence
-    gets the same states, bit for bit, alone and in any batch.
+    row of a two-row GEMM, so where `bilstm_batch_invariant` holds for a
+    batch's row counts a sequence gets the same states, bit for bit, alone and in it.
 
     The directions share no state. Serial, they run as one stack of two
     (`_run_directions`), stored interleaved so that each step's elementwise

@@ -6,7 +6,9 @@ drives one Adam step. Examples labeled "other" carry no
 sentiment target: they are dropped entirely in sentiment-only modes and
 contribute only the emotion term in joint modes. `infer` is the one
 inference path and holds the decision rule: `evaluate` scores its
-decisions, and `emosent predict` prints them for one tweet.
+decisions, and `emosent predict` prints them for one tweet. It encodes
+ENCODE_CHUNK tweets per BiLSTM call where the batch-invariance probe,
+run at the row counts those calls run, allows it.
 """
 from __future__ import annotations
 
@@ -40,8 +42,8 @@ from .rng import stage_rng
 
 # Tweets per `encode` call in `infer`: most of a one-tweet forward is the
 # BiLSTM, whose recurrence reads U once per step, so a chunk of tweets shares
-# each read. `nd.bilstm_batch_invariant` probes at most this many sequences.
-ENCODE_CHUNK = nd.autodiff.PROBE_ROWS
+# each read.
+ENCODE_CHUNK = 64
 EMOTION_THRESHOLD = 0.5  # default emotion decision threshold
 
 
@@ -171,15 +173,15 @@ def train(
 def _encode_chunk(examples: Sequence[EncodedExample], model_cfg: ModelConfig) -> int:
     """How many examples `infer` encodes per call: 1 for a lone example,
     which needs no probe, else ENCODE_CHUNK when the probe finds the BiLSTM
-    batch-invariant up to the largest chunk's rows, so every example's
-    states equal those of a one-example forward, else 1."""
+    batch-invariant at the row counts the chunks and lone examples run, so
+    every example's states equal those of a one-example forward, else 1."""
     if len(examples) <= 1:
         return 1
-    rows = max(
-        sum(len(ex.token_ids) for ex in examples[start : start + ENCODE_CHUNK])
-        for start in range(0, len(examples), ENCODE_CHUNK)
-    )
-    invariant = nd.bilstm_batch_invariant(model_cfg.embed_dim, model_cfg.lstm_hidden, rows)
+    lengths = [len(ex.token_ids) for ex in examples]
+    starts = range(0, len(lengths), ENCODE_CHUNK)
+    totals = [max(sum(lengths[start : start + ENCODE_CHUNK]), 2) for start in starts]
+    rows = {max(n, 2) for n in lengths} | set(range(2, min(len(lengths), ENCODE_CHUNK) + 1))
+    invariant = nd.bilstm_batch_invariant(model_cfg.embed_dim, model_cfg.lstm_hidden, totals, rows)
     return ENCODE_CHUNK if invariant else 1
 
 

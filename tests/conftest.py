@@ -59,6 +59,17 @@ def write_config(path, out_dir, **overrides):
     return path
 
 
+@pytest.fixture
+def fresh_probe_cache():
+    """An empty batch-invariance probe cache, emptied again afterwards, for
+    probes run under a patched `np.dot`."""
+    from emosent.nd import autodiff
+
+    autodiff._rows_invariant.cache_clear()
+    yield
+    autodiff._rows_invariant.cache_clear()
+
+
 def corrupt_affine_pool_backward(monkeypatch):
     """Swap `nd.affine_pool` for a stand-in with its values whose tape
     entry's backward pass gives 1.01 times every gradient."""

@@ -34,6 +34,16 @@ class TestTape:
         (grad_q,) = tape.gradients(loss, [q])
         np.testing.assert_array_equal(grad_q, np.zeros(1))
 
+    def test_entry_off_the_loss_path_is_skipped(self):
+        p = param([1.0, 2.0])
+        with nd.Tape() as tape:
+            loss = nd.sum(nd.scale(p, 3.0))
+            nd.scale(p, 5.0)
+            nd.mul(p, p)
+        assert len(tape.entries) == 4
+        (grad,) = tape.gradients(loss, [p])
+        np.testing.assert_array_equal(grad, [3.0, 3.0])
+
     def test_non_scalar_loss_rejected(self):
         p = param([1.0, 2.0])
         with nd.Tape() as tape:

@@ -160,6 +160,16 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: model: {named}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_without_a_test_corpus_scores_the_training_rows(self, tmp_path):
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", epochs=2,
+                              **{"corpus.test": None})
+        assert entrypoint(["train", "--config", str(config)]) == 0
+        config = write_config(tmp_path / "run.cfg", tmp_path / "out", epochs=2,
+                              **{"corpus.test": FIXTURES / "corpus_train.tsv"})
+        assert entrypoint(["evaluate", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        assert (out / "eval_metrics.txt").read_bytes() == (out / "metrics.txt").read_bytes()
+
     def test_missing_embeddings_key(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.cfg", tmp_path / "out", embeddings=None)
         assert entrypoint(["train", "--config", str(config)]) == 2
@@ -667,6 +677,23 @@ class TestReportCommand:
         assert entrypoint(["report", "--metrics", metrics]) == 0
         out = capsys.readouterr().out
         assert "Sentiment" in out and "Emotion" in out and "macro-F1" in out
+
+    def test_out_flag_overrides_the_configs_out_dir(self, trained, tmp_path, capsys):
+        assert entrypoint(["report", "--metrics", str(trained.out / "metrics.txt")]) == 0
+        expected = capsys.readouterr().out
+        config = write_config(tmp_path / "run.cfg", tmp_path / "elsewhere")
+        assert entrypoint(["report", "--config", str(config), "--out", str(trained.out)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_blank_and_comment_lines_are_skipped(self, trained, tmp_path, capsys):
+        text = (trained.out / "metrics.txt").read_text(encoding="utf-8")
+        assert entrypoint(["report", "--metrics", str(trained.out / "metrics.txt")]) == 0
+        expected = capsys.readouterr().out
+        metrics = tmp_path / "metrics.txt"
+        metrics.write_text("# scored by hand\n\n" + text.replace("\n", "\n  # note\n", 1),
+                           encoding="utf-8")
+        assert entrypoint(["report", "--metrics", str(metrics)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_missing_metrics_file(self, tmp_path, capsys):
         assert entrypoint(["report", "--metrics", str(tmp_path / "no.txt")]) == 2

@@ -103,11 +103,20 @@ def test_empty_file_gives_defaults(tmp_path):
         ("train_embeddings = maybe", "train_embeddings must be true or false, got 'maybe'"),
         ("dropout_rate = 0.5", "unknown config key 'dropout_rate'"),
         ("seed = -1", "seed must be non-negative, got -1"),
+        ("lr =", "line 1: empty value for 'lr'"),
+        ("# a comment\nlr 0.5", "line 2: expected 'key = value'"),
+        ("seed = 1\n\nseed = 2", "line 3: duplicate key 'seed'"),
     ],
 )
 def test_bad_value_names_the_key(tmp_path, line, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         _load(tmp_path, line + "\n")
+
+
+def test_missing_file_is_named(tmp_path):
+    path = tmp_path / "absent.cfg"
+    with pytest.raises(ConfigError, match=re.escape(f"config file not found: {path}")):
+        load_run_config(path)
 
 
 def _readme_section(title: str) -> str:

@@ -6,7 +6,8 @@ Each case is one entry of an explicit table, and its id is the whole
 mutation: `<key>:<edit>@<line>` edits one line of a fixture input (the
 `train` config's key), `<key>=<value>` sets one config value, and
 `<edit>@<anchor>+<offset>` damages a trained fixture checkpoint that
-`predict` and `evaluate` then read. A failing id reproduces by itself."""
+`predict` and `evaluate` then read, and a refused command line is its own
+id. A failing id reproduces by itself."""
 import re
 
 import pytest
@@ -44,6 +45,14 @@ LINE_EDITS = [
     "lexicon:field0=long@7", "lexicon:field1=nan@3", "lexicon:field1=inf@4",
     "lexicon:field1=bad-utf8@6",
 ]
+# Command lines the parser accepts and the command refuses, with the error
+# line each prints.
+COMMAND_LINES = {
+    "train": "this command needs --config",
+    "build-vocab": "this command needs --config",
+    "evaluate": "this command needs --config",
+    "gradcheck --modes ,": "no modes requested",
+}
 # numpy refuses a [16, 4e18] array before allocating it; a size such as
 # 1e9 could be granted by a host that overcommits.
 CONFIG_VALUES = {"lstm_hidden=1000000000000000000": "model"}
@@ -129,6 +138,12 @@ def test_train_on_an_edited_input(case, tmp_path, capsys):
     config = write_config(tmp_path / "run.cfg", tmp_path / "out", epochs=2,
                           **{key: edited})
     check_exit(["train", "--config", str(config)], [key], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", COMMAND_LINES)
+def test_refused_command_line(case, capsys):
+    assert entrypoint(case.split()) == 2
+    assert capsys.readouterr().err == f"error: {COMMAND_LINES[case]}\n"
 
 
 @pytest.mark.parametrize("case", CONFIG_VALUES)

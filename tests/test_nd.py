@@ -50,13 +50,9 @@ class TestLstm:
             nd.bilstm(xs, direction, direction, lengths)
 
 
-@pytest.fixture
-def fresh_probe_cache():
-    """An empty probe cache, emptied again afterwards, for probes run
-    under a patched `np.dot`."""
-    autodiff._rows_invariant.cache_clear()
-    yield
-    autodiff._rows_invariant.cache_clear()
+# Row counts for probes at 7 x 12: every count a 64-sequence batch steps
+# through, and a 128-row projection.
+COUNTS = frozenset([*range(2, 65), 128])
 
 
 class TestBatchInvariance:
@@ -64,7 +60,7 @@ class TestBatchInvariance:
     def test_probe_finds_lstm_products_batch_invariant(self, in_dim, hidden, monkeypatch):
         for parallel in (False, True):
             monkeypatch.setattr(autodiff, "_run_directions_in_parallel", lambda h: parallel)
-            assert nd.bilstm_batch_invariant(in_dim, hidden, 1000)
+            assert nd.bilstm_batch_invariant(in_dim, hidden, [1000], range(2, 65))
 
     def test_probe_fails_when_a_row_count_changes_the_bits(self, monkeypatch, fresh_probe_cache):
         dot = np.dot
@@ -75,7 +71,8 @@ class TestBatchInvariance:
 
         monkeypatch.setattr(np, "dot", drifting)
         for depth in (1, 2):
-            assert not autodiff._rows_invariant(7, 12, 128, None, depth)
+            assert not autodiff._rows_invariant(7, 12, COUNTS, autodiff.PROBE_OFFSETS, None,
+                                                depth)
 
     def test_probe_fails_when_strided_rows_change_the_bits(self, monkeypatch, fresh_probe_cache):
         # The serial schedule reads each direction's states in place, 2H
@@ -87,11 +84,11 @@ class TestBatchInvariance:
             return product if a.flags.c_contiguous else np.nextafter(product, np.inf)
 
         monkeypatch.setattr(np, "dot", drifting)
-        assert autodiff._rows_invariant(7, 12, 128, None, 1)
-        assert not autodiff._rows_invariant(7, 12, 128, None, 2)
+        assert autodiff._rows_invariant(7, 12, COUNTS, autodiff.PROBE_OFFSETS, None, 1)
+        assert not autodiff._rows_invariant(7, 12, COUNTS, autodiff.PROBE_OFFSETS, None, 2)
         for parallel in (True, False):
             monkeypatch.setattr(autodiff, "_run_directions_in_parallel", lambda h: parallel)
-            assert nd.bilstm_batch_invariant(7, 3, 100) == parallel
+            assert nd.bilstm_batch_invariant(7, 3, [100], range(2, 65)) == parallel
 
     @pytest.mark.parametrize("in_dim,hidden", [(300, 300), (16, 8)])
     def test_sequence_states_equal_alone_and_in_a_batch(self, in_dim, hidden, monkeypatch):
@@ -293,6 +290,18 @@ class TestAffineConcatShapes:
     def test_affine_mismatch_rejected(self, x, W, b):
         with pytest.raises(nd.ShapeError, match="affine"):
             nd.affine(*(nd.Tensor(np.ones(s)) for s in (x, W, b)))
+
+
+class TestTakeRows:
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(nd.ShapeError, match="take_rows: need a matrix"):
+            nd.take_rows(nd.Tensor(np.ones(shape)), [0])
+
+    @pytest.mark.parametrize("indices", [[0, 3], [-1]])
+    def test_index_out_of_range_rejected(self, indices):
+        with pytest.raises(IndexError, match="index out of range for 3 rows"):
+            nd.take_rows(nd.Tensor(np.ones((3, 2))), indices)
 
 
 class TestSoftmax:

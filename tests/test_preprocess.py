@@ -149,6 +149,11 @@ class TestLexiconFile:
         assert "beautiful" in lex and "qzxqzx" not in lex
         assert lex.counts["the"] == 22038615
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("\ngood\t10\n \t \nday\t3\n", encoding="utf-8")
+        assert SegmentationLexicon.from_file(lexicon).counts == {"good": 10, "day": 3}
+
     def test_malformed_line_is_reported_with_number(self, tmp_path):
         bad = tmp_path / "lex.txt"
         bad.write_text("good\t10\nbad line\n", encoding="utf-8")

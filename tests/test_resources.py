@@ -442,6 +442,10 @@ class TestThesaurus:
         thes = Thesaurus.from_file(fixtures_dir / "thesaurus.tsv")
         assert thes.expand("good", k) == thes.expand("good", 4)[:k]
 
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        f = write(tmp_path / "t.tsv", "# headword\tcandidates\n\ngood\tgreat, nice\n  \n")
+        assert Thesaurus.from_file(f).entries == {"good": ["great", "nice"]}
+
     def test_malformed_line_reported(self, tmp_path):
         f = write(tmp_path / "t.tsv", "good\tgreat\nbroken row\n")
         with pytest.raises(ResourceFormatError, match="line 2"):

@@ -451,3 +451,15 @@ def test_first_error_wins_with_the_second_as_its_context():
     with pytest.raises(ValueError, match="first") as caught:
         BOTH(first, second, True)
     assert isinstance(caught.value.__context__, KeyError)
+
+
+def test_the_threads_half_runs_under_the_callers_errstate():
+    # `cli` runs every stage under an `np.errstate`: a half on the second
+    # thread must follow it as the calling thread's half does.
+    def divide():
+        return float(np.divide(1.0, np.zeros(1))[0])
+
+    with np.errstate(divide="ignore"):
+        assert BOTH(divide, divide, True) == (np.inf, np.inf)
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        BOTH(divide, lambda: None, True)

@@ -1,5 +1,6 @@
 """Loss composition, training dynamics, determinism, and evaluation."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from emosent.model import (
     init_parameters,
     trainable_names,
 )
+from emosent.nd import autodiff
 from emosent.resources import EMOTIONS, EncodedExample
 from emosent.train import ENCODE_CHUNK, TrainConfig, evaluate, infer, joint_loss, train
 
@@ -479,8 +481,43 @@ class TestEvaluateMatchesPredict:
         assert_equal_to_predict(examples, seen)
 
     def test_failed_probe_encodes_one_tweet_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(nd, "bilstm_batch_invariant", lambda in_dim, hidden, rows: False)
+        monkeypatch.setattr(nd, "bilstm_batch_invariant", lambda *args: False)
         examples = paper_corpus(5, 4, 3, ("negative", "positive", "other"))
         seen, batches = evaluated_probabilities(examples)
         assert batches == [1] * 5
         assert_equal_to_predict(examples, seen)
+
+
+def tweets(*lengths):
+    """Stand-in examples of the given token counts, as `_encode_chunk`
+    reads them."""
+    return [SimpleNamespace(token_ids=[1] * n) for n in lengths]
+
+
+class TestEncodeChunk:
+    def test_probe_gets_the_row_counts_the_chunks_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nd, "bilstm_batch_invariant", lambda *args: not calls.append(args))
+        # A 70-token tweet in the first chunk; a last chunk of two 1-token ones.
+        examples = tweets(3, 70, *[4] * (ENCODE_CHUNK - 2), 1, 1)
+        assert train_module._encode_chunk(examples, PAPER) == ENCODE_CHUNK
+        [(in_dim, hidden, totals, rows)] = calls
+        assert (in_dim, hidden) == (300, 300)
+        assert sorted(totals) == [2, 73 + 4 * (ENCODE_CHUNK - 2)]
+        assert sorted(rows) == [*range(2, ENCODE_CHUNK + 1), 70]
+
+    def test_probe_refuses_a_drift_at_a_chunks_projection(self, monkeypatch, fresh_probe_cache):
+        # Ten 10-token tweets project 100 rows as one GEMM, a count that a
+        # fixed ladder of probed counts (64, 96, 128, ...) can step over.
+        config = small_config(embed_dim=7, lstm_hidden=3)
+        examples = tweets(*[10] * 10)
+        assert train_module._encode_chunk(examples, config) == ENCODE_CHUNK
+        dot = np.dot
+
+        def drifting(a, b, out=None):
+            product = dot(a, b)
+            return np.nextafter(product, np.inf) if a.shape[0] == 100 else product
+
+        autodiff._rows_invariant.cache_clear()
+        monkeypatch.setattr(np, "dot", drifting)
+        assert train_module._encode_chunk(examples, config) == 1
