@@ -612,54 +612,53 @@ def _run_directions_in_parallel(hidden: int) -> bool:
 PROBE_OFFSETS = (0, 1, 5)
 
 
-def bilstm_batch_invariant(in_dim: int, hidden: int, batches: Sequence[int],
-                           rows: Sequence[int]) -> bool:
-    """Whether `bilstm` gives a sequence the same states, bit for bit, alone
-    and in batches of the given row counts, under the current BLAS thread
-    count and schedule; probed once per shape, count set, thread count and
-    stack depth.
+def bilstm_batch_invariant(in_dim: int, hidden: int, batches: Sequence[Sequence[int]]) -> bool:
+    """Whether `bilstm` run on each of `batches`, the lengths of its
+    sequences, gives each sequence the states, bit for bit, of a run on it
+    alone, under the current BLAS thread count and schedule.
 
-    `bilstm` forms its products as GEMMs of two or more rows (see
-    `_run_directions`): the input projection [N, in] x [in, 4H] of
-    contiguous rows, and each step's [n, H] x [H, 4H], whose rows it reads in
-    place from its stack's interleaved states: contiguous for the one
-    direction per thread of the two-thread schedule, 2H apart for the two
-    directions of the serial one. A sequence's states are then the same in
-    every batch when BLAS gives a GEMM row the same bits whatever the GEMM's
-    row count, the row's place in it and the stride between its rows.
-    OpenBLAS does at the LSTM shapes, but not at every shape (at 600 x 300 a
-    row's bits change with the row count), so the property is probed rather
-    than assumed (He and Thinking Machines Lab, "Defeating Nondeterminism in
-    LLM Inference", 2025), at exactly the counts the caller runs: each of
-    `batches`, a batch's input projection from a fresh gather, at offset 0
-    only, and each of `rows`, a lone sequence's projection or a step's, at
-    every offset of PROBE_OFFSETS. Every count is at least 2.
+    `bilstm` runs every product as a GEMM of two or more rows (see
+    `_run_directions`): the input projection [N, in] x [in, 4H], and each
+    step's [n, H] x [H, 4H], read in place from the stack's states, 2H apart
+    on the serial schedule. So the property holds when BLAS gives a GEMM
+    row the same bits whatever the row count, the row's place and the
+    stride. OpenBLAS does at the LSTM shapes, but not at every shape (at
+    600 x 300 a row's bits change with the row count), so it is probed (He
+    and Thinking Machines Lab, "Defeating Nondeterminism in LLM Inference",
+    2025) at the row counts these runs take. Each batch's projection (its
+    total rows) and each lone sequence's (its length) are checked against
+    one reference GEMM: the batch's from row 0, where its fresh gather
+    starts, and the sequence's from each of PROBE_OFFSETS, as its rows sit
+    inside the batch's. Each step count, from 2 (a lone sequence steps as
+    two rows) to the largest batch's size, is checked at PROBE_OFFSETS and
+    at every place of the stack's states. The last 64 results are cached by
+    count set, so each new set of batch totals costs about one GEMM a batch.
     """
-    threads = _blas_threads()
     depth = 1 if _run_directions_in_parallel(hidden) else 2
-    batches, rows = frozenset(batches), frozenset(rows)
-    return (_rows_invariant(in_dim, 4 * hidden, batches, (0,), threads, 1)
-            and _rows_invariant(in_dim, 4 * hidden, rows, PROBE_OFFSETS, threads, 1)
-            and _rows_invariant(hidden, 4 * hidden, rows, PROBE_OFFSETS, threads, depth))
+    checks = {(in_dim, 1): {(max(int(np.sum(batch)), 2), 0) for batch in batches}}
+    checks[in_dim, 1] |= {(max(n, 2), o) for batch in batches for n in batch for o in PROBE_OFFSETS}
+    steps = {(n, o) for n in range(2, max(2, *map(len, batches)) + 1) for o in PROBE_OFFSETS}
+    checks[hidden, depth] = checks.get((hidden, depth), set()) | steps
+    return all(_rows_invariant(inner, 4 * hidden, frozenset(cases), _blas_threads(), d)
+               for (inner, d), cases in checks.items())
 
 
-@functools.cache
-def _rows_invariant(inner: int, cols: int, counts: frozenset[int], offsets: tuple[int, ...],
+@functools.lru_cache(maxsize=64)
+def _rows_invariant(inner: int, cols: int, cases: frozenset[tuple[int, int]],
                     threads: int | None, depth: int) -> bool:
-    """Whether the rows of [m, inner] x [inner, cols] GEMMs equal the same
-    rows of one larger GEMM, for each m of `counts` at each of `offsets`. The
-    rows are read in place from a [rows, depth, inner] slab at each of its
-    `depth` places, as `_run_directions` reads a stack's states. `threads`,
-    the BLAS thread count, keys the cache."""
+    """Whether, for each (m, offset) of `cases`, an [m, inner] x [inner, cols]
+    GEMM over the rows of one reference GEMM from `offset` gives those rows
+    the reference's bits. The rows are read in place from a [rows, depth,
+    inner] slab at each of its `depth` places, as `_run_directions` reads a
+    stack's states. `threads`, the BLAS thread count, keys the cache."""
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((max(counts) + max(PROBE_OFFSETS), inner))
+    a = rng.standard_normal((max(m + offset for m, offset in cases), inner))
     b = rng.standard_normal((inner, cols))
     reference = np.dot(a, b)
     slab = np.repeat(a[:, None], depth, axis=1)
     return all(
         np.array_equal(np.dot(slab[offset : offset + m, d], b), reference[offset : offset + m])
-        for m in counts
-        for offset in offsets
+        for m, offset in cases
         for d in range(depth)
     )
 

@@ -173,15 +173,13 @@ def train(
 def _encode_chunk(examples: Sequence[EncodedExample], model_cfg: ModelConfig) -> int:
     """How many examples `infer` encodes per call: 1 for a lone example,
     which needs no probe, else ENCODE_CHUNK when the probe finds the BiLSTM
-    batch-invariant at the row counts the chunks and lone examples run, so
-    every example's states equal those of a one-example forward, else 1."""
+    batch-invariant on these chunks, so every example's states equal those
+    of a one-example forward, else 1."""
     if len(examples) <= 1:
         return 1
     lengths = [len(ex.token_ids) for ex in examples]
-    starts = range(0, len(lengths), ENCODE_CHUNK)
-    totals = [max(sum(lengths[start : start + ENCODE_CHUNK]), 2) for start in starts]
-    rows = {max(n, 2) for n in lengths} | set(range(2, min(len(lengths), ENCODE_CHUNK) + 1))
-    invariant = nd.bilstm_batch_invariant(model_cfg.embed_dim, model_cfg.lstm_hidden, totals, rows)
+    chunks = [lengths[at : at + ENCODE_CHUNK] for at in range(0, len(lengths), ENCODE_CHUNK)]
+    invariant = nd.bilstm_batch_invariant(model_cfg.embed_dim, model_cfg.lstm_hidden, chunks)
     return ENCODE_CHUNK if invariant else 1
 
 

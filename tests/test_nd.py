@@ -50,9 +50,9 @@ class TestLstm:
             nd.bilstm(xs, direction, direction, lengths)
 
 
-# Row counts for probes at 7 x 12: every count a 64-sequence batch steps
-# through, and a 128-row projection.
-COUNTS = frozenset([*range(2, 65), 128])
+# (row count, offset) cases for probes at 7 x 12: every count a
+# 64-sequence batch steps through, and a 128-row projection.
+CASES = frozenset((m, offset) for m in [*range(2, 65), 128] for offset in autodiff.PROBE_OFFSETS)
 
 
 class TestBatchInvariance:
@@ -60,7 +60,24 @@ class TestBatchInvariance:
     def test_probe_finds_lstm_products_batch_invariant(self, in_dim, hidden, monkeypatch):
         for parallel in (False, True):
             monkeypatch.setattr(autodiff, "_run_directions_in_parallel", lambda h: parallel)
-            assert nd.bilstm_batch_invariant(in_dim, hidden, [1000], range(2, 65))
+            assert nd.bilstm_batch_invariant(in_dim, hidden, [[15] * 64, [1, 40]])
+
+    @pytest.mark.parametrize("in_dim,parallel", [(7, True), (3, True), (3, False)])
+    def test_probe_checks_the_row_counts_the_batches_run(self, in_dim, parallel, monkeypatch):
+        calls = []
+        monkeypatch.setattr(autodiff, "_run_directions_in_parallel", lambda h: parallel)
+        monkeypatch.setattr(autodiff, "_rows_invariant", lambda *args: not calls.append(args))
+        assert nd.bilstm_batch_invariant(in_dim, 3, [[3, 70, 1], [1]])
+        shifted = [(m, offset) for m in (2, 3, 70) for offset in autodiff.PROBE_OFFSETS]
+        projections = {(74, 0), (2, 0), *shifted}
+        steps = {case for case in shifted if case[0] <= 3}
+        depth = 1 if parallel else 2
+        threads = autodiff._blas_threads()
+        if (in_dim, 1) == (3, depth):
+            assert calls == [(3, 12, frozenset(projections | steps), threads, 1)]
+        else:
+            assert calls == [(in_dim, 12, frozenset(projections), threads, 1),
+                             (3, 12, frozenset(steps), threads, depth)]
 
     def test_probe_fails_when_a_row_count_changes_the_bits(self, monkeypatch, fresh_probe_cache):
         dot = np.dot
@@ -71,8 +88,7 @@ class TestBatchInvariance:
 
         monkeypatch.setattr(np, "dot", drifting)
         for depth in (1, 2):
-            assert not autodiff._rows_invariant(7, 12, COUNTS, autodiff.PROBE_OFFSETS, None,
-                                                depth)
+            assert not autodiff._rows_invariant(7, 12, CASES, None, depth)
 
     def test_probe_fails_when_strided_rows_change_the_bits(self, monkeypatch, fresh_probe_cache):
         # The serial schedule reads each direction's states in place, 2H
@@ -84,11 +100,11 @@ class TestBatchInvariance:
             return product if a.flags.c_contiguous else np.nextafter(product, np.inf)
 
         monkeypatch.setattr(np, "dot", drifting)
-        assert autodiff._rows_invariant(7, 12, COUNTS, autodiff.PROBE_OFFSETS, None, 1)
-        assert not autodiff._rows_invariant(7, 12, COUNTS, autodiff.PROBE_OFFSETS, None, 2)
+        assert autodiff._rows_invariant(7, 12, CASES, None, 1)
+        assert not autodiff._rows_invariant(7, 12, CASES, None, 2)
         for parallel in (True, False):
             monkeypatch.setattr(autodiff, "_run_directions_in_parallel", lambda h: parallel)
-            assert nd.bilstm_batch_invariant(7, 3, [100], range(2, 65)) == parallel
+            assert nd.bilstm_batch_invariant(7, 3, [[10] * 10]) == parallel
 
     @pytest.mark.parametrize("in_dim,hidden", [(300, 300), (16, 8)])
     def test_sequence_states_equal_alone_and_in_a_batch(self, in_dim, hidden, monkeypatch):

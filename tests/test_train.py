@@ -495,20 +495,23 @@ def tweets(*lengths):
 
 
 class TestEncodeChunk:
-    def test_probe_gets_the_row_counts_the_chunks_run(self, monkeypatch):
+    def test_probe_gets_the_chunks_lengths(self, monkeypatch):
         calls = []
         monkeypatch.setattr(nd, "bilstm_batch_invariant", lambda *args: not calls.append(args))
         # A 70-token tweet in the first chunk; a last chunk of two 1-token ones.
-        examples = tweets(3, 70, *[4] * (ENCODE_CHUNK - 2), 1, 1)
-        assert train_module._encode_chunk(examples, PAPER) == ENCODE_CHUNK
-        [(in_dim, hidden, totals, rows)] = calls
-        assert (in_dim, hidden) == (300, 300)
-        assert sorted(totals) == [2, 73 + 4 * (ENCODE_CHUNK - 2)]
-        assert sorted(rows) == [*range(2, ENCODE_CHUNK + 1), 70]
+        lengths = [3, 70, *[4] * (ENCODE_CHUNK - 2), 1, 1]
+        assert train_module._encode_chunk(tweets(*lengths), PAPER) == ENCODE_CHUNK
+        assert calls == [(300, 300, [lengths[:ENCODE_CHUNK], [1, 1]])]
 
-    def test_probe_refuses_a_drift_at_a_chunks_projection(self, monkeypatch, fresh_probe_cache):
+    @pytest.mark.parametrize("drifts", [lambda m: m == 100, lambda m: m >= 100],
+                             ids=["at-100", "from-100"])
+    def test_probe_refuses_a_drift_at_a_chunks_projection(self, drifts, monkeypatch,
+                                                          fresh_probe_cache):
         # Ten 10-token tweets project 100 rows as one GEMM, a count that a
         # fixed ladder of probed counts (64, 96, 128, ...) can step over.
+        # From 100 rows up, the check of the chunk's projection against a
+        # reference no smaller drifts with it: only a tweet's 10-row
+        # projection, checked against that same reference, shows the drift.
         config = small_config(embed_dim=7, lstm_hidden=3)
         examples = tweets(*[10] * 10)
         assert train_module._encode_chunk(examples, config) == ENCODE_CHUNK
@@ -516,7 +519,7 @@ class TestEncodeChunk:
 
         def drifting(a, b, out=None):
             product = dot(a, b)
-            return np.nextafter(product, np.inf) if a.shape[0] == 100 else product
+            return np.nextafter(product, np.inf) if drifts(a.shape[0]) else product
 
         autodiff._rows_invariant.cache_clear()
         monkeypatch.setattr(np, "dot", drifting)
